@@ -27,6 +27,11 @@ from .stems import StemConfig
 
 ENCODE_MODES = ("batch", "per_image")
 
+# per_image mode encodes this many input bytes per forward pass (42 images
+# at 32x32): enough rows to amortize the per-call cost, few enough that
+# the activations of one chunk stay small whatever the corpus size.
+CHUNK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class ViTConfig:
@@ -168,10 +173,13 @@ def _attention_backward(grad_out, cache, params, prefix, heads):
     return dy, grads
 
 
-def encoder_forward_cached(images, config: ViTConfig, params):
+def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
     """Forward pass keeping every intermediate needed by encoder_backward.
 
-    Returns ``(features, cache)`` with features of shape (B, D).
+    Returns ``(features, cache)`` with features of shape (B, D). With
+    ``per_sample`` set, the stem's batch norms use per-sample statistics
+    (see :func:`stems.stem_forward_cached`), so each row of the output is
+    bitwise what a batch of one would give.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1] != 3:
@@ -182,7 +190,7 @@ def encoder_forward_cached(images, config: ViTConfig, params):
             f"config expects {config.image_size[0]}x{config.image_size[1]}"
         )
     tokens, stem_cache = stems.stem_forward_cached(
-        images, config.stem, stem_subparams(params)
+        images, config.stem, stem_subparams(params), per_sample
     )
     b = tokens.shape[0]
     cls = np.broadcast_to(params["cls_token"], (b, 1, config.embed_dim))
@@ -265,8 +273,8 @@ def encoder_backward(grad_features, cache, params) -> GradPair:
     return GradPair(input_grad=stem_pair.input_grad, param_grads=grads)
 
 
-def encoder_forward(images, config: ViTConfig, params) -> np.ndarray:
-    features, _ = encoder_forward_cached(images, config, params)
+def encoder_forward(images, config: ViTConfig, params, per_sample=False) -> np.ndarray:
+    features, _ = encoder_forward_cached(images, config, params, per_sample)
     return features
 
 
@@ -275,10 +283,11 @@ def encode_batch(images, config: ViTConfig, params, ids=None, mode="batch") -> E
 
     ``mode="batch"`` runs one forward pass, so any batch-norm layers in
     the stem see the whole batch (training-mode statistics). ``mode=
-    "per_image"`` encodes each image in its own batch of one, making every
-    feature independent of what it was batched with; batch norm then
-    degenerates to per-image statistics. Corpus scoring uses per_image so
-    a record's score never depends on its neighbors.
+    "per_image"`` runs forward passes with per-sample statistics over
+    chunks of at most ``CHUNK_BYTES`` of input; every feature is bitwise
+    equal to encoding its image alone, whatever it is batched with and
+    however the rows are chunked. Corpus scoring uses per_image so a
+    record's score never depends on its neighbors.
     """
     if mode not in ENCODE_MODES:
         raise ConfigError(f"mode must be one of {ENCODE_MODES}, got {mode!r}")
@@ -293,9 +302,10 @@ def encode_batch(images, config: ViTConfig, params, ids=None, mode="batch") -> E
     if mode == "batch":
         features = encoder_forward(images, config, params)
     else:
-        rows = [
-            encoder_forward(images[i:i + 1], config, params)[0]
-            for i in range(images.shape[0])
+        chunk = max(1, CHUNK_BYTES // max(1, images[:1].nbytes))
+        parts = [
+            encoder_forward(images[i:i + chunk], config, params, per_sample=True)
+            for i in range(0, images.shape[0], chunk)
         ]
-        features = np.stack(rows) if rows else np.zeros((0, config.embed_dim))
+        features = np.concatenate(parts) if parts else np.zeros((0, config.embed_dim))
     return EmbeddingSet(ids=ids, features=features)

@@ -96,6 +96,8 @@ def conv2d(
 
     Output spatial size is ``floor((H + 2*pad - kh) / stride) + 1`` (same
     for width); trailing rows/columns that do not fit a window are dropped.
+    Each sample is its own GEMM, so ``conv2d(x)[i]`` is bitwise equal to
+    ``conv2d(x[i:i+1])[0]`` whatever else is in the batch.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
@@ -116,7 +118,7 @@ def conv2d(
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     cols = _im2col(xp, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
-    out = np.einsum("ok,bkl->bol", kmat, cols, optimize=True) + bias[None, :, None]
+    out = np.matmul(kmat, cols) + bias[None, :, None]
     h_out = _conv_out_size(h, kh, stride, pad)
     w_out = _conv_out_size(w, kw, stride, pad)
     return out.reshape(b, o, h_out, w_out)

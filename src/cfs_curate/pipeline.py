@@ -9,43 +9,26 @@ record with strong appearance bias is moved far and scores low. That is
 exactly the behavior the scoring pipeline needs from an adapted proxy:
 agreement on target-like records, disagreement on biased ones.
 
-Corpus scoring always encodes per image (batch of one), so a record's
-feature, and therefore its score and rank, never depends on which other
-records happen to be embedded alongside it.
+Corpus scoring always encodes in per_image mode: batched forward passes
+over chunks of rows in which every normalization uses per-sample
+statistics, so a record's feature, and therefore its score and rank, is
+bitwise what encoding it alone would give and never depends on which
+other records happen to be embedded alongside it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cfs, selection
 from .embeddings import EmbeddingSet
-from .encoder import ViTConfig, encoder_forward, encode_batch, init_params
-from .errors import ConfigError, DimensionError
+from .encoder import ViTConfig, encode_batch, init_params
+from .errors import DimensionError
 from .invariance import batch_from_images
 from .stems import StemConfig
 from .synth import SynthCorpus
-
-THREADS_ENV = "CFS_CURATE_THREADS"
-
-
-def thread_cap(n_items: int) -> int:
-    """Worker count for per-image embedding, capped by CFS_CURATE_THREADS."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return max(1, min(cap, max(n_items, 1)))
 
 
 def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
@@ -58,24 +41,10 @@ def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
 
 
 def embed_images(images, ids, config: ViTConfig, params, mode="per_image") -> EmbeddingSet:
-    """Encode (N, H, W, 3) images; per_image mode parallelizes across a
-    thread pool whose size CFS_CURATE_THREADS caps. Output order follows
-    input order regardless of worker count."""
-    batch = batch_from_images(images)
-    ids = [str(i) for i in ids]
-    if len(ids) != batch.shape[0]:
-        raise DimensionError(f"{len(ids)} ids for {batch.shape[0]} images")
-    if mode != "per_image" or batch.shape[0] <= 1:
-        return encode_batch(batch, config, params, ids=ids, mode=mode)
-    workers = thread_cap(batch.shape[0])
-    if workers == 1:
-        return encode_batch(batch, config, params, ids=ids, mode="per_image")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(
-            lambda i: encoder_forward(batch[i:i + 1], config, params)[0],
-            range(batch.shape[0]),
-        ))
-    return EmbeddingSet(ids=ids, features=np.stack(rows))
+    """Encode (N, H, W, 3) images, rows in input order. The default
+    per_image mode gives each record the feature it would get if encoded
+    alone (see :func:`encoder.encode_batch`)."""
+    return encode_batch(batch_from_images(images), config, params, ids=ids, mode=mode)
 
 
 def palette_mean(images) -> np.ndarray:

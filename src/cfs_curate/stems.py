@@ -34,10 +34,6 @@ LADDER_KERNEL = 3
 LADDER_STRIDE = 2
 LADDER_PAD = 1
 
-# The instance-normalized half occupies the lower channel indices of a
-# split layer; the batch-normalized half the upper ones.
-IN_HALF_FIRST = True
-
 
 def default_channel_ladder(embed_dim: int, patch_stride: int) -> tuple[int, ...]:
     """Doubling ladder ending at ``embed_dim``, one stride-2 layer per factor.
@@ -186,8 +182,16 @@ class _StemCache:
     map_hw: tuple[int, int] = (0, 0)
 
 
-def stem_forward_cached(images, config: StemConfig, params):
-    """Run any stem variant, keeping what the backward pass needs."""
+def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
+    """Run any stem variant, keeping what the backward pass needs.
+
+    With ``per_sample`` set, every batch-norm layer (and batch-norm half)
+    normalizes each sample over (H, W) alone, which is exactly what batch
+    norm computes on a batch of one; the tokens of a sample then never
+    depend on the rest of the batch. A ladder that would normalize a 1x1
+    map per sample is refused: its output would be ``beta`` for every
+    image.
+    """
     _check_image_batch(images, config)
     cache = _StemCache(config=config, images=images)
     if config.variant == "patchify":
@@ -198,6 +202,14 @@ def stem_forward_cached(images, config: StemConfig, params):
         cache.map_hw = fmap.shape[2:]
         return _tokens_from_map(fmap), cache
 
+    p = config.patch_stride
+    if per_sample and images.shape[2:] == (p, p):
+        raise ConfigError(
+            f"per-sample normalization of the last {config.variant} ladder layer "
+            f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
+            "feature (use larger images or a smaller patch stride)"
+        )
+    bn_mode = "instance" if per_sample else "batch"
     x = images
     split = config.split_layers
     for i, out_c in enumerate(config.channel_ladder):
@@ -210,19 +222,17 @@ def stem_forward_cached(images, config: StemConfig, params):
         beta = params[f"norm{i}_beta"]
         if i < split:
             half = out_c // 2
-            lo = slice(None, half) if IN_HALF_FIRST else slice(half, None)
-            hi = slice(half, None) if IN_HALF_FIRST else slice(None, half)
             in_out, in_cache = ops.normalize_cached(
-                conv_out[:, lo], "instance", gamma[lo], beta[lo], config.eps
+                conv_out[:, :half], "instance", gamma[:half], beta[:half], config.eps
             )
             bn_out, bn_cache = ops.normalize_cached(
-                conv_out[:, hi], "batch", gamma[hi], beta[hi], config.eps
+                conv_out[:, half:], bn_mode, gamma[half:], beta[half:], config.eps
             )
             normed = np.concatenate([in_out, bn_out], axis=1)
             norm_cache = ("split", half, in_cache, bn_cache)
         else:
             normed, single = ops.normalize_cached(
-                conv_out, "batch", gamma, beta, config.eps
+                conv_out, bn_mode, gamma, beta, config.eps
             )
             norm_cache = ("full", None, single, None)
         act = ops.activation(normed, "relu")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cfs_curate import stems
+from cfs_curate import encoder, ops, stems
 
 
 def relu_margin(stem_cache) -> float:
@@ -24,3 +24,22 @@ def kink_safe_images(rng, stem_config, stem_params, shape, band=1e-3, max_tries=
         if relu_margin(cache) > band:
             return images
     raise AssertionError(f"no kink-safe batch found in {max_tries} tries")
+
+
+def einsum_conv2d(x, kernel, bias, stride=1, pad=0):
+    """ops.conv2d as computed before it became one GEMM per sample: a single
+    batched einsum, whose rows can differ from single-sample results by a
+    few ulps at large K. Reference for the pre-batching encoder."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    o, c, kh, kw = kernel.shape
+    cols = ops._im2col(xp, kh, kw, stride)
+    out = np.einsum("ok,bkl->bol", kernel.reshape(o, c * kh * kw), cols, optimize=True)
+    h_out = (xp.shape[2] - kh) // stride + 1
+    w_out = (xp.shape[3] - kw) // stride + 1
+    return (out + bias[None, :, None]).reshape(x.shape[0], o, h_out, w_out)
+
+
+def batch_of_one_loop(images, config, params):
+    """Features of the former per_image encoding: one forward per image."""
+    return np.stack([encoder.encoder_forward(images[i:i + 1], config, params)[0]
+                     for i in range(images.shape[0])])

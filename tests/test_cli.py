@@ -74,6 +74,14 @@ class TestExitCodes:
         formats.write_image_ppm(np.zeros((8, 8, 3)), b)
         assert run("embed", str(a), str(b), "--out", str(tmp_path / "e.emb")) == 1
 
+    def test_collapsing_stem_configuration_is_usage_error(self, tmp_path):
+        """conv at 16x16 and stride 16 would embed every image identically."""
+        corpus = make_corpus(tmp_path)
+        sources = [str(p) for p in sorted(corpus.glob("src-*.ppm"))]
+        emb = tmp_path / "e.emb"
+        assert run("embed", *sources, "--stem", "conv", "--out", str(emb)) == 1
+        assert not emb.exists()
+
 
 class TestPipeline:
     def test_synth_writes_corpus_and_manifest(self, tmp_path):

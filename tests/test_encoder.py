@@ -5,6 +5,7 @@ import pytest
 
 from cfs_curate import encoder, ops, stems
 from cfs_curate.errors import ConfigError, DimensionError
+from conftest import batch_of_one_loop, einsum_conv2d
 
 RNG_SEED = 42
 
@@ -147,6 +148,64 @@ class TestEncodeBatch:
         params = encoder.init_params(5, cfg)
         with pytest.raises(ConfigError):
             encoder.encode_batch(np.zeros((1, 3, 8, 8)), cfg, params, mode="stream")
+
+
+def stride16_cfg(variant, size=(32, 32)):
+    stem = stems.StemConfig(variant, embed_dim=32, patch_stride=16)
+    return encoder.ViTConfig(depth=2, heads=2, embed_dim=32, stem=stem, image_size=size)
+
+
+class TestPerImageMode:
+    """per_image runs chunked batched forwards with per-sample statistics;
+    each feature must be bitwise what encoding the image alone gives."""
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    @pytest.mark.parametrize("size", [(32, 32), (64, 32)])
+    def test_equals_batch_of_one_bitwise(self, monkeypatch, variant, size):
+        """Whatever the neighbours and the chunking: one image per chunk,
+        three per chunk (3 + 3 + a remainder of 2), or all in one."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stride16_cfg(variant, size)
+        params = encoder.init_params(3, cfg)
+        imgs = rng.uniform(0, 1, (8, 3) + size)
+        alone = batch_of_one_loop(imgs, cfg, params)
+        perm = np.array([6, 2, 0, 5, 7, 1, 4, 3])
+        for budget in (1, 3 * imgs[0].nbytes, 2**40):
+            monkeypatch.setattr(encoder, "CHUNK_BYTES", budget)
+            got = encoder.encode_batch(imgs[perm], cfg, params, mode="per_image").features
+            np.testing.assert_array_equal(got, alone[perm])
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_matches_einsum_loop(self, monkeypatch, variant):
+        """Against the former loop (batch-of-one forwards through the
+        einsum convolution) features move by rounding only."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stride16_cfg(variant)
+        params = encoder.init_params(3, cfg)
+        imgs = rng.uniform(0, 1, (6, 3, 32, 32))
+        got = encoder.encode_batch(imgs, cfg, params, mode="per_image").features
+        monkeypatch.setattr(ops, "conv2d", einsum_conv2d)
+        np.testing.assert_allclose(got, batch_of_one_loop(imgs, cfg, params),
+                                   rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        cfg = stride16_cfg("conv")
+        out = encoder.encode_batch(np.zeros((0, 3, 32, 32)), cfg,
+                                   encoder.init_params(3, cfg), mode="per_image")
+        assert out.features.shape == (0, 32)
+
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_refuses_per_sample_norm_of_1x1_map(self, variant):
+        """At 16x16 and stride 16 the last ladder map is 1x1; normalizing it
+        per sample outputs beta, so every image would get one feature."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stride16_cfg(variant, (16, 16))
+        params = encoder.init_params(3, cfg)
+        imgs = rng.uniform(0, 1, (4, 3, 16, 16))
+        with pytest.raises(ConfigError):
+            encoder.encode_batch(imgs, cfg, params, mode="per_image")
+        batch = encoder.encode_batch(imgs, cfg, params, mode="batch").features
+        assert len(np.unique(batch, axis=0)) == 4
 
 
 class TestPermutationEquivariance:

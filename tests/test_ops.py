@@ -74,6 +74,18 @@ class TestConv2d:
         got = ops.conv2d(x, k, b, stride=stride, pad=pad)
         np.testing.assert_allclose(got, naive_conv2d(x, k, b, stride, pad), atol=1e-12)
 
+    def test_rows_independent_of_batch_at_large_k(self):
+        """Each output row is bitwise what the sample alone gives, even at
+        K = 3 * 16 * 16 = 768 (patchify stem, 32x32, stride 16), where a
+        batched contraction may reorder the K-sum differently per batch."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.uniform(size=(7, 3, 32, 32))
+        k = rng.uniform(-0.04, 0.04, size=(32, 3, 16, 16))
+        b = rng.normal(size=32)
+        full = ops.conv2d(x, k, b, stride=16)
+        for i in range(x.shape[0]):
+            np.testing.assert_array_equal(full[i], ops.conv2d(x[i:i + 1], k, b, stride=16)[0])
+
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError):
             ops.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1))

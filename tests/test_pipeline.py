@@ -1,11 +1,13 @@
-"""End-to-end scoring pipelines: proxies, alignment, threaded embedding."""
+"""End-to-end scoring pipelines: proxies, alignment, per-image embedding."""
 
 import numpy as np
 import pytest
 
-from cfs_curate import encoder, pipeline, selection, synth
+from cfs_curate import cfs, encoder, ops, pipeline, selection, synth
+from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import ConfigError, DimensionError
 from cfs_curate.invariance import batch_from_images
+from conftest import batch_of_one_loop, einsum_conv2d
 
 
 def small_corpus(seed=0, n=6):
@@ -17,51 +19,44 @@ def small_config(variant="patchify"):
                                        heads=2, patch_stride=8)
 
 
-class TestThreadCap:
-    def test_default_at_least_one(self, monkeypatch):
-        monkeypatch.delenv(pipeline.THREADS_ENV, raising=False)
-        assert pipeline.thread_cap(4) >= 1
-
-    def test_env_caps(self, monkeypatch):
-        monkeypatch.setenv(pipeline.THREADS_ENV, "2")
-        assert pipeline.thread_cap(100) == 2
-
-    def test_items_cap(self, monkeypatch):
-        monkeypatch.setenv(pipeline.THREADS_ENV, "8")
-        assert pipeline.thread_cap(3) == 3
-
-    def test_bad_values(self, monkeypatch):
-        for bad in ("zero", "0", "-2", "1.5"):
-            monkeypatch.setenv(pipeline.THREADS_ENV, bad)
-            with pytest.raises(ConfigError):
-                pipeline.thread_cap(4)
-
-
 class TestEmbedImages:
-    def test_matches_sequential_encoding(self, monkeypatch):
+    def test_matches_sequential_encoding(self):
         corpus = small_corpus()
-        config = small_config()
+        config = small_config("ics")
         params = encoder.init_params(0, config)
-        monkeypatch.setenv(pipeline.THREADS_ENV, "3")
-        threaded = pipeline.embed_images(corpus.source_images, corpus.source_ids,
+        embedded = pipeline.embed_images(corpus.source_images, corpus.source_ids,
                                          config, params)
-        sequential = encoder.encode_batch(batch_from_images(corpus.source_images),
-                                          config, params, ids=corpus.source_ids,
-                                          mode="per_image")
-        assert threaded.ids == sequential.ids
-        np.testing.assert_array_equal(threaded.features, sequential.features)
+        batch = batch_from_images(corpus.source_images)
+        assert embedded.ids == corpus.source_ids
+        np.testing.assert_array_equal(embedded.features,
+                                      batch_of_one_loop(batch, config, params))
 
-    def test_single_worker_path(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_single_pixel_ladder_map_refused(self, variant):
+        """16x16 images at stride 16 leave a 1x1 map for per-image batch
+        norm, which used to give every record the same embedding."""
         corpus = small_corpus()
-        config = small_config()
+        config = pipeline.default_vit_config(variant, (16, 16))
         params = encoder.init_params(0, config)
-        monkeypatch.setenv(pipeline.THREADS_ENV, "1")
-        one = pipeline.embed_images(corpus.source_images, corpus.source_ids,
-                                    config, params)
-        monkeypatch.setenv(pipeline.THREADS_ENV, "4")
-        many = pipeline.embed_images(corpus.source_images, corpus.source_ids,
-                                     config, params)
-        np.testing.assert_array_equal(one.features, many.features)
+        with pytest.raises(ConfigError):
+            pipeline.embed_images(corpus.source_images, corpus.source_ids, config, params)
+
+    @pytest.mark.parametrize("variant", ["patchify", "conv", "ics"])
+    def test_score_ranking_unchanged_from_einsum_loop(self, monkeypatch, variant):
+        """Two proxy seeds over one corpus, as CLI embed -> score runs it:
+        the ranking equals that of the former batch-of-one einsum loop."""
+        images = synth.synth_corpus(5, 24, 32, 32, extreme_fraction=0.0).source_images
+        ids = [f"r{i}" for i in range(len(images))]
+        config = pipeline.default_vit_config(variant, (32, 32))
+        by_seed = [encoder.init_params(seed, config) for seed in (0, 1)]
+        new = cfs.score_corpus(*(pipeline.embed_images(images, ids, config, p)
+                                 for p in by_seed))
+        monkeypatch.setattr(ops, "conv2d", einsum_conv2d)
+        batch = batch_from_images(images)
+        old = cfs.score_corpus(*(EmbeddingSet(ids, batch_of_one_loop(batch, config, p))
+                                 for p in by_seed))
+        assert new.ids == old.ids
+        np.testing.assert_allclose(new.scores, old.scores, rtol=0, atol=1e-12)
 
     def test_id_count_mismatch(self):
         corpus = small_corpus()

@@ -13,7 +13,6 @@ behind the ``cfs-curate`` command line tool.
 from .cfs import (
     ScoreEntry,
     ScoreTable,
-    TheoremProbe,
     cfs_score,
     check_distance_identity,
     count_for_ratio,
@@ -110,7 +109,6 @@ __all__ = [
     "Stump",
     "StumpClass",
     "SynthCorpus",
-    "TheoremProbe",
     "VARIANTS",
     "ViTConfig",
     "augment",

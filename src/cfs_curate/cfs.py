@@ -65,40 +65,27 @@ class ScoreTable:
         return np.array([e.score for e in self.entries])
 
 
-@dataclass(frozen=True)
-class TheoremProbe:
-    """An epsilon in (0,1) and its score threshold 1 - eps^2/8.
-
-    The threshold always lands in (0.875, 1): records must score very
-    high before the normalized-distance guarantee d <= eps/2 applies.
-    """
-
-    epsilon: float
-    threshold: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "threshold", theorem_threshold(self.epsilon))
-
-
-def _checked_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError(f"{name} contains NaN or Inf")
-    return arr
-
-
-def cfs_score(f_source, f_target) -> float:
-    """Cosine similarity between the two proxy features of one record."""
-    a = _checked_vector(f_source, "f_source")
-    b = _checked_vector(f_target, "f_target")
+def _checked_pair(f_source, f_target):
+    """Two finite, nonzero, same-length 1-D features and their norms."""
+    a = np.asarray(f_source, dtype=np.float64)
+    b = np.asarray(f_target, dtype=np.float64)
+    for arr, name in ((a, "f_source"), (b, "f_target")):
+        if arr.ndim != 1 or arr.size == 0:
+            raise DimensionError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DimensionError(f"{name} contains NaN or Inf")
     if a.shape != b.shape:
         raise DimensionError(f"feature dims differ: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise DegenerateFeatureError("zero-norm feature vector")
+    return a, b, na, nb
+
+
+def cfs_score(f_source, f_target) -> float:
+    """Cosine similarity between the two proxy features of one record."""
+    a, b, na, nb = _checked_pair(f_source, f_target)
     return float(np.dot(a, b) / (na * nb))
 
 
@@ -161,14 +148,7 @@ def check_distance_identity(f_source, f_target) -> tuple[float, float, float]:
     Returns ``(c, d, |d^2 - (2 - 2c)|)``; the residual is zero in exact
     arithmetic and stays below 1e-10 in floats.
     """
-    a = _checked_vector(f_source, "f_source")
-    b = _checked_vector(f_target, "f_target")
-    if a.shape != b.shape:
-        raise DimensionError(f"feature dims differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateFeatureError("zero-norm feature vector")
+    a, b, na, nb = _checked_pair(f_source, f_target)
     c = float(np.dot(a, b) / (na * nb))
     d = float(np.linalg.norm(b / nb - a / na))
     residual = abs(d * d - (2.0 - 2.0 * c))

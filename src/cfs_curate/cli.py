@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cfs, divergence, selection, stems
+from . import cfs, divergence, ops, selection, stems
 from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
 from .errors import FormatError, RangeError
 from .formats import (
@@ -33,7 +33,6 @@ from .invariance import (
     DEFAULT_MAGNITUDES,
     AugmentationSpec,
     augment,
-    batch_from_images,
     invariance_report,
 )
 from .pipeline import compare_on_synth_corpus, default_vit_config, embed_images
@@ -87,15 +86,18 @@ def _table_entries(table: cfs.ScoreTable) -> list[dict]:
 
 
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
+    """Rebuild a score table; any malformed entry is a FormatError."""
     try:
         rows = document["results"]["entries"]
         entries = [
             cfs.ScoreEntry(id=row["id"], score=float(row["score"]), rank=int(row["rank"]))
             for row in rows
         ]
+        return cfs.ScoreTable(entries)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: not a score report (missing {exc})") from exc
-    return cfs.ScoreTable(entries)
+    except ValueError as exc:  # non-numeric field, unsorted scores, bad ranks
+        raise FormatError(f"{path}: malformed score report: {exc}") from exc
 
 
 def _cmd_embed(args) -> int:
@@ -133,30 +135,17 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _shift_from_args(args) -> ShiftSpec:
-    return ShiftSpec(
+def _synth_from_args(args):
+    """The synthetic corpus the corpus flags describe, and its report config."""
+    shift = ShiftSpec(
         brightness_offset=args.brightness,
         hue_rotation=args.hue,
         noise_sigma=args.noise,
     )
-
-
-def _cmd_select(args) -> int:
     corpus = synth_corpus(args.seed, args.n_per_domain, args.height, args.width,
-                          _shift_from_args(args),
-                          extreme_fraction=args.extreme_fraction)
-    configs = [
-        selection.SelectionConfig("random", args.ratio, seed=args.seed),
-        selection.SelectionConfig("cluster", args.ratio, seed=args.seed, k=args.k),
-        selection.SelectionConfig("cfs", args.ratio),
-    ]
-    reports = compare_on_synth_corpus(corpus, configs, proxy_seed=args.seed,
-                                      stem_variant=args.stem)
+                          shift, extreme_fraction=args.extreme_fraction)
     config = {
         "seed": args.seed,
-        "stem": args.stem,
-        "ratio": args.ratio,
-        "k": args.k,
         "n_per_domain": args.n_per_domain,
         "height": args.height,
         "width": args.width,
@@ -165,6 +154,18 @@ def _cmd_select(args) -> int:
         "noise": args.noise,
         "extreme_fraction": args.extreme_fraction,
     }
+    return corpus, config
+
+
+def _cmd_select(args) -> int:
+    corpus, config = _synth_from_args(args)
+    configs = [
+        selection.SelectionConfig("random", args.ratio, seed=args.seed),
+        selection.SelectionConfig("cluster", args.ratio, seed=args.seed, k=args.k),
+        selection.SelectionConfig("cfs", args.ratio),
+    ]
+    reports = compare_on_synth_corpus(corpus, configs, proxy_seed=args.seed)
+    config.update(ratio=args.ratio, k=args.k)
     results = [
         {
             "strategy": r.strategy,
@@ -271,25 +272,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    corpus = synth_corpus(args.seed, args.n_per_domain, args.height, args.width,
-                          _shift_from_args(args),
-                          extreme_fraction=args.extreme_fraction)
+    corpus, config = _synth_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ids, batch in ((corpus.source_ids, corpus.source_images),
                        (corpus.target_ids, corpus.target_images)):
         for record_id, image in zip(ids, batch):
             write_image_ppm(image, out_dir / f"{record_id}.ppm")
-    config = {
-        "seed": args.seed,
-        "n_per_domain": args.n_per_domain,
-        "height": args.height,
-        "width": args.width,
-        "brightness": args.brightness,
-        "hue": args.hue,
-        "noise": args.noise,
-        "extreme_fraction": args.extreme_fraction,
-    }
     results = {
         "source_ids": corpus.source_ids,
         "target_ids": corpus.target_ids,
@@ -336,21 +325,21 @@ def _gradient_self_test(variant: str) -> float:
 
     worst = 0.0
     for key in sorted(params):
-        tensor = params[key]
-        flat = tensor.reshape(-1)
+        flat = params[key].reshape(-1)
         picks = rng.choice(flat.size, size=min(CHECK_COORDS_PER_TENSOR, flat.size),
                            replace=False)
-        for coord in picks:
-            original = flat[coord]
-            flat[coord] = original + CHECK_FD_STEP
-            up = loss(params)
-            flat[coord] = original - CHECK_FD_STEP
-            down = loss(params)
-            flat[coord] = original
-            fd = (up - down) / (2.0 * CHECK_FD_STEP)
-            analytic = grads.param_grads[key].reshape(-1)[coord]
-            scale = max(abs(fd), abs(analytic), 1e-6)
-            worst = max(worst, abs(fd - analytic) / scale)
+        original = flat[picks].copy()
+
+        def loss_at_picks(values):
+            flat[picks] = values
+            return loss(params)
+
+        try:
+            fd = ops.fd_gradient(loss_at_picks, original, h=CHECK_FD_STEP)
+        finally:
+            flat[picks] = original
+        analytic = grads.param_grads[key].reshape(-1)[picks]
+        worst = max(worst, ops.max_relative_error(analytic, fd))
     return worst
 
 
@@ -419,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("select", help="compare selection strategies on a synthetic corpus")
+    p = sub.add_parser("select", help="compare selection strategies on a synthetic corpus "
+                       "(patchify stem)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stem", choices=stems.VARIANTS, default="patchify")
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--k", type=int, default=16)
     _add_corpus_flags(p)

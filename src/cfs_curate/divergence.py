@@ -64,7 +64,7 @@ def _as_samples(samples, n_dims=None) -> np.ndarray:
     return x
 
 
-def build_stumps(samples, dims=None, max_thresholds_per_dim=None) -> StumpClass:
+def build_stumps(samples, max_thresholds_per_dim=None) -> StumpClass:
     """Stumps at midpoints of consecutive sorted unique values per dimension.
 
     A dimension with a single distinct value contributes no stumps. When a
@@ -74,12 +74,8 @@ def build_stumps(samples, dims=None, max_thresholds_per_dim=None) -> StumpClass:
     """
     x = _as_samples(samples)
     n_dims = x.shape[1]
-    if dims is None:
-        dims = range(n_dims)
     stumps = []
-    for dim in dims:
-        if not 0 <= dim < n_dims:
-            raise RangeError(f"dim {dim} outside 0..{n_dims - 1}")
+    for dim in range(n_dims):
         uniq = np.unique(x[:, dim])
         mids = (uniq[:-1] + uniq[1:]) / 2.0
         cap = max_thresholds_per_dim
@@ -91,7 +87,7 @@ def build_stumps(samples, dims=None, max_thresholds_per_dim=None) -> StumpClass:
             elif len(mids) > cap:
                 picks = np.round(np.linspace(0, len(mids) - 1, cap)).astype(int)
                 mids = mids[picks]
-        stumps += [Stump(dim=int(dim), threshold=float(t)) for t in mids]
+        stumps += [Stump(dim=dim, threshold=float(t)) for t in mids]
     return StumpClass(n_dims=n_dims, stumps=stumps)
 
 

@@ -86,7 +86,7 @@ def init_params(seed: int, config: ViTConfig) -> dict[str, np.ndarray]:
 
     params = {
         f"stem.{key}": value
-        for key, value in stems.draw_stem_params(rng, config.stem).items()
+        for key, value in stems.init_stem_params(rng, config.stem).items()
     }
     params["cls_token"] = 0.02 * rng.standard_normal(d)
     params["pos_embed"] = 0.02 * rng.standard_normal((config.tokens + 1, d))
@@ -287,7 +287,9 @@ def encode_batch(images, config: ViTConfig, params, ids=None, mode="batch") -> E
     chunks of at most ``CHUNK_BYTES`` of input; every feature is bitwise
     equal to encoding its image alone, whatever it is batched with and
     however the rows are chunked. Corpus scoring uses per_image so a
-    record's score never depends on its neighbors.
+    record's score never depends on its neighbors. A conv or ics stem
+    whose last ladder map is 1x1 is refused in per_image mode and for a
+    batch of one, where every image would get the same feature.
     """
     if mode not in ENCODE_MODES:
         raise ConfigError(f"mode must be one of {ENCODE_MODES}, got {mode!r}")

@@ -11,6 +11,8 @@ Embedding file layout (little-endian throughout):
 
 Features are 64-bit in memory and narrowed to 32-bit on write; a
 round-trip is exact at 32-bit precision and ids survive byte-for-byte.
+A value beyond the float32 range is refused before anything is written,
+and a file holding non-finite features or duplicate ids is malformed.
 Reports are JSON with sorted keys and no timestamps, so a fixed-seed run
 writes byte-identical files.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .validation import check_image
 
 EMB_MAGIC = b"EMB1"
@@ -35,6 +37,10 @@ REPORT_SCHEMA_VERSION = 1
 
 def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
     path = Path(path)
+    with np.errstate(over="ignore"):
+        features = embedding_set.features.astype("<f4")
+    if not np.isfinite(features).all():
+        raise FormatError(f"cannot write embeddings to {path}: a feature overflows float32")
     blob = bytearray()
     blob += EMB_MAGIC
     blob += struct.pack("<HII", EMB_VERSION, len(embedding_set), embedding_set.dim)
@@ -42,7 +48,7 @@ def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
         data = record_id.encode("utf-8")
         blob += struct.pack("<I", len(data))
         blob += data
-    blob += embedding_set.features.astype("<f4").tobytes(order="C")
+    blob += features.tobytes(order="C")
     try:
         path.write_bytes(bytes(blob))
     except OSError as exc:
@@ -90,7 +96,10 @@ def read_embeddings(path) -> EmbeddingSet:
     if cur.pos != len(data):
         raise FormatError(f"{path}: {len(data) - cur.pos} trailing bytes after features block")
     features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(count, dim)
-    return EmbeddingSet(ids=ids, features=features)
+    try:
+        return EmbeddingSet(ids=ids, features=features)
+    except DimensionError as exc:  # non-finite features or duplicate ids
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _ppm_tokens(data: bytes, path: Path):

@@ -135,13 +135,6 @@ def batch_from_images(images) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(0, 3, 1, 2))
 
 
-def images_from_batch(batch) -> np.ndarray:
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[1] != 3:
-        raise DimensionError(f"expected (N, 3, H, W) batch, got {arr.shape}")
-    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1))
-
-
 @dataclass(frozen=True)
 class CkaEntry:
     kind: str
@@ -154,12 +147,6 @@ class CkaReport:
     model_id: str
     corpus_id: str
     entries: list[CkaEntry] = field(default_factory=list)
-
-    def score(self, kind: str) -> float:
-        for entry in self.entries:
-            if entry.kind == kind:
-                return entry.score
-        raise KeyError(kind)
 
 
 def invariance_report(config: enc.ViTConfig, params, images, specs=None,

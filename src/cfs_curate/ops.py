@@ -39,24 +39,6 @@ class GradPair:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of ``(m, k)`` and ``(k, n)`` arrays."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def matmul_backward(grad_out: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Gradients of ``sum(grad_out * (a @ b))`` w.r.t. ``a`` and ``b``."""
-    return grad_out @ b.T, a.T @ grad_out
-
-
-# ---------------------------------------------------------------------------
 # conv2d
 
 
@@ -72,17 +54,6 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     h_out, w_out = windows.shape[2], windows.shape[3]
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
     return np.ascontiguousarray(cols)
-
-
-def _col2im_indices(c: int, kh: int, kw: int, h_out: int, w_out: int, stride: int):
-    chan = np.repeat(np.arange(c), kh * kw)[:, None]
-    ki = np.tile(np.repeat(np.arange(kh), kw), c)
-    kj = np.tile(np.tile(np.arange(kw), kh), c)
-    oi = stride * np.repeat(np.arange(h_out), w_out)
-    oj = stride * np.tile(np.arange(w_out), h_out)
-    rows = ki[:, None] + oi[None, :]
-    cols = kj[:, None] + oj[None, :]
-    return chan, rows, cols
 
 
 def conv2d(
@@ -144,10 +115,15 @@ def conv2d_backward(
     dkernel = np.einsum("bol,bkl->ok", gmat, cols, optimize=True).reshape(kernel.shape)
     dcols = np.einsum("ok,bol->bkl", kmat, gmat, optimize=True)
 
+    # one strided slice-add per kernel tap, in (ki, kj) order; windows
+    # overlap when stride < kernel size, and the taps accumulate there
+    dcols = dcols.reshape(b, c, kh, kw, h_out, w_out)
     dxp = np.zeros_like(xp)
-    chan, rows, colidx = _col2im_indices(c, kh, kw, h_out, w_out, stride)
-    # scatter-add because windows overlap when stride < kernel size
-    np.add.at(dxp, (slice(None), chan, rows, colidx), dcols)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += (
+                dcols[:, :, ki, kj]
+            )
     dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
     return dx, dkernel, dbias
 

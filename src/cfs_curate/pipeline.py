@@ -9,7 +9,14 @@ record with strong appearance bias is moved far and scores low. That is
 exactly the behavior the scoring pipeline needs from an adapted proxy:
 agreement on target-like records, disagreement on biased ones.
 
-Corpus scoring always encodes in per_image mode: batched forward passes
+The synthesized pipelines (:func:`score_synth_corpus` and
+:func:`compare_on_synth_corpus`) always use the patchify stem. A conv or
+ics stem normalizes each image after edge-padded convolutions, and that
+cancels exactly the per-image channel-mean shift the alignment applies:
+both proxies would give every record the same feature up to rounding,
+and the scores would rank floating-point noise.
+
+Corpus embedding always encodes in per_image mode: batched forward passes
 over chunks of rows in which every normalization uses per-sample
 statistics, so a record's feature, and therefore its score and rank, is
 bitwise what encoding it alone would give and never depends on which
@@ -40,11 +47,12 @@ def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
                      image_size=tuple(image_size))
 
 
-def embed_images(images, ids, config: ViTConfig, params, mode="per_image") -> EmbeddingSet:
-    """Encode (N, H, W, 3) images, rows in input order. The default
-    per_image mode gives each record the feature it would get if encoded
-    alone (see :func:`encoder.encode_batch`)."""
-    return encode_batch(batch_from_images(images), config, params, ids=ids, mode=mode)
+def embed_images(images, ids, config: ViTConfig, params) -> EmbeddingSet:
+    """Encode (N, H, W, 3) images, rows in input order, in per_image mode:
+    each record gets the feature it would get if encoded alone (see
+    :func:`encoder.encode_batch`)."""
+    return encode_batch(batch_from_images(images), config, params, ids=ids,
+                        mode="per_image")
 
 
 def palette_mean(images) -> np.ndarray:
@@ -95,11 +103,10 @@ def embed_source_under_both(pair: ProxyPair, images, ids) -> tuple[EmbeddingSet,
     return by_source, by_target
 
 
-def score_synth_corpus(corpus: SynthCorpus, proxy_seed: int = 0,
-                       stem_variant: str = "patchify") -> cfs.ScoreTable:
-    """Score a synthetic corpus end to end; patchify stem by default (no
-    normalization layers, so palette alignment is visible to the feature)."""
-    config = default_vit_config(stem_variant, corpus.source_images.shape[1:3])
+def score_synth_corpus(corpus: SynthCorpus, proxy_seed: int = 0) -> cfs.ScoreTable:
+    """Score a synthetic corpus end to end with the patchify stem (see the
+    module docstring for why no normalizing stem is offered)."""
+    config = default_vit_config("patchify", corpus.source_images.shape[1:3])
     pair = make_proxy_pair(proxy_seed, config, corpus.target_images)
     by_source, by_target = embed_source_under_both(
         pair, corpus.source_images, corpus.source_ids
@@ -107,10 +114,11 @@ def score_synth_corpus(corpus: SynthCorpus, proxy_seed: int = 0,
     return cfs.score_corpus(by_source, by_target)
 
 
-def compare_on_synth_corpus(corpus: SynthCorpus, configs, proxy_seed: int = 0,
-                            stem_variant: str = "patchify") -> list[selection.SelectionReport]:
-    """Run the strategy comparison end to end on a synthetic corpus."""
-    config = default_vit_config(stem_variant, corpus.source_images.shape[1:3])
+def compare_on_synth_corpus(corpus: SynthCorpus, configs,
+                            proxy_seed: int = 0) -> list[selection.SelectionReport]:
+    """Run the strategy comparison end to end on a synthetic corpus with
+    the patchify stem, as :func:`score_synth_corpus` does."""
+    config = default_vit_config("patchify", corpus.source_images.shape[1:3])
     pair = make_proxy_pair(proxy_seed, config, corpus.target_images)
     by_source, by_target = embed_source_under_both(
         pair, corpus.source_images, corpus.source_ids

@@ -10,7 +10,7 @@ corpus in the shared source-proxy feature space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,6 @@ def select_random(ids, ratio: float, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(pool), size=count, replace=False)
     return sorted(pool[i] for i in picks)
-
-
-def kmeans_objective(features: np.ndarray, centers: np.ndarray) -> float:
-    d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    return float(d2.min(axis=1).sum())
 
 
 def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6,

@@ -96,16 +96,13 @@ class StemConfig:
         return self.in_layers if self.variant == "ics" else 0
 
 
-def init_stem_params(seed: int, config: StemConfig) -> dict[str, np.ndarray]:
+def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
     """Seeded parameters: kernels uniform in +-1/sqrt(fan-in), biases zero,
     affine scales one, affine shifts zero. Draw order follows the layer
     order, so a given (seed, config) always yields the same arrays.
+    ``seed`` may also be a Generator, which is drawn from in place.
     """
-    return draw_stem_params(np.random.default_rng(seed), config)
-
-
-def draw_stem_params(rng: np.random.Generator, config: StemConfig) -> dict[str, np.ndarray]:
-    """Like init_stem_params but consuming an existing generator."""
+    rng = np.random.default_rng(seed)
 
     def kernel(out_c, in_c, kh, kw):
         bound = 1.0 / np.sqrt(in_c * kh * kw)
@@ -189,8 +186,8 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
     normalizes each sample over (H, W) alone, which is exactly what batch
     norm computes on a batch of one; the tokens of a sample then never
     depend on the rest of the batch. A ladder that would normalize a 1x1
-    map per sample is refused: its output would be ``beta`` for every
-    image.
+    map per sample, or in a batch of one, is refused: its output would be
+    ``beta`` for every image.
     """
     _check_image_batch(images, config)
     cache = _StemCache(config=config, images=images)
@@ -203,11 +200,12 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
         return _tokens_from_map(fmap), cache
 
     p = config.patch_stride
-    if per_sample and images.shape[2:] == (p, p):
+    if images.shape[2:] == (p, p) and (per_sample or images.shape[0] == 1):
+        population = "per sample" if per_sample else "in a batch of one"
         raise ConfigError(
-            f"per-sample normalization of the last {config.variant} ladder layer "
+            f"normalizing the last {config.variant} ladder layer {population} "
             f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
-            "feature (use larger images or a smaller patch stride)"
+            "feature (use larger images, a smaller patch stride or a larger batch)"
         )
     bn_mode = "instance" if per_sample else "batch"
     x = images
@@ -287,24 +285,3 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
 def stem_forward(images, config: StemConfig, params) -> np.ndarray:
     tokens, _ = stem_forward_cached(images, config, params)
     return tokens
-
-
-def patchify_forward(images, config: StemConfig, params) -> np.ndarray:
-    """Stride-p patch embedding of ``(B, 3, H, W)`` into ``(B, T, D)`` tokens."""
-    if config.variant != "patchify":
-        raise ConfigError(f"config is for variant {config.variant!r}")
-    return stem_forward(images, config, params)
-
-
-def conv_stem_forward(images, config: StemConfig, params) -> np.ndarray:
-    """Stride-2 convolution ladder with batch norm and relu, then 1x1 to D."""
-    if config.variant != "conv":
-        raise ConfigError(f"config is for variant {config.variant!r}")
-    return stem_forward(images, config, params)
-
-
-def ics_forward(images, config: StemConfig, params) -> np.ndarray:
-    """Convolution ladder whose first ``in_layers`` norms are half-IN, half-BN."""
-    if config.variant != "ics":
-        raise ConfigError(f"config is for variant {config.variant!r}")
-    return stem_forward(images, config, params)

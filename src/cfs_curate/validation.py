@@ -1,8 +1,8 @@
-"""Input validation helpers.
+"""Validation of caller-supplied images.
 
-Every array entering the package from the outside goes through one of
-these. Internally produced arrays are trusted; the helpers exist to make
-boundary contracts explicit and the error messages uniform.
+Augmentation and PPM writing take images from outside the package; this
+check makes their contract explicit and the error messages uniform.
+Internally produced arrays are trusted.
 """
 
 from __future__ import annotations
@@ -12,37 +12,11 @@ import numpy as np
 from .errors import DimensionError
 
 
-def as_tensor(data, shape=None, name="tensor") -> np.ndarray:
-    """Coerce external input to a finite float64 array.
-
-    Rejects NaN/Inf. If ``shape`` is given, the array must match it
-    exactly (``None`` entries in ``shape`` are wildcards).
-    """
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name} contains NaN or Inf")
-    if shape is not None:
-        if arr.ndim != len(shape):
-            raise DimensionError(
-                f"{name} must have {len(shape)} dimensions, got shape {arr.shape}"
-            )
-        for axis, want in enumerate(shape):
-            if want is not None and arr.shape[axis] != want:
-                raise DimensionError(
-                    f"{name} axis {axis} must have size {want}, got shape {arr.shape}"
-                )
-    return arr
-
-
-def check_ndim(arr: np.ndarray, ndim: int, name="array") -> np.ndarray:
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def check_image(image) -> np.ndarray:
-    """Validate an H x W x 3 image with values in [0, 1]."""
-    arr = as_tensor(image, name="image")
+    """Coerce an H x W x 3 image with finite values in [0, 1] to float64."""
+    arr = np.asarray(image, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DimensionError("image contains NaN or Inf")
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise DimensionError(f"image must be H x W x 3, got shape {arr.shape}")
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):

@@ -43,3 +43,30 @@ def batch_of_one_loop(images, config, params):
     """Features of the former per_image encoding: one forward per image."""
     return np.stack([encoder.encoder_forward(images[i:i + 1], config, params)[0]
                      for i in range(images.shape[0])])
+
+
+def add_at_conv2d_backward(grad_out, x, kernel, stride=1, pad=0):
+    """ops.conv2d_backward as computed before its input gradient became
+    kh*kw strided slice-adds: one np.add.at scatter of every column
+    gradient into the padded input. Reference for bitwise equality."""
+    b, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    h_out, w_out = grad_out.shape[2], grad_out.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = ops._im2col(xp, kh, kw, stride)
+    kmat = kernel.reshape(o, c * kh * kw)
+    gmat = grad_out.reshape(b, o, h_out * w_out)
+    dbias = grad_out.sum(axis=(0, 2, 3))
+    dkernel = np.einsum("bol,bkl->ok", gmat, cols, optimize=True).reshape(kernel.shape)
+    dcols = np.einsum("ok,bol->bkl", kmat, gmat, optimize=True)
+    chan = np.repeat(np.arange(c), kh * kw)[:, None]
+    ki = np.tile(np.repeat(np.arange(kh), kw), c)
+    kj = np.tile(np.tile(np.arange(kw), kh), c)
+    oi = stride * np.repeat(np.arange(h_out), w_out)
+    oj = stride * np.tile(np.arange(w_out), h_out)
+    rows = ki[:, None] + oi[None, :]
+    colidx = kj[:, None] + oj[None, :]
+    dxp = np.zeros_like(xp)
+    np.add.at(dxp, (slice(None), chan, rows, colidx), dcols)
+    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    return dx, dkernel, dbias

@@ -219,12 +219,6 @@ class TestTheoremThreshold:
         for eps in np.linspace(1e-6, 1 - 1e-6, 101):
             assert 0.875 < cfs.theorem_threshold(float(eps)) < 1.0
 
-    def test_probe_dataclass(self):
-        probe = cfs.TheoremProbe(0.4)
-        np.testing.assert_allclose(probe.threshold, 0.98, rtol=0, atol=1e-15)
-        with pytest.raises(RangeError):
-            cfs.TheoremProbe(1.0)
-
 
 class TestDistanceIdentity:
     def test_identical(self):

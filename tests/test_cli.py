@@ -67,6 +67,25 @@ class TestExitCodes:
         formats.write_report(report, "bound", {}, {"rhs": 1.0})
         assert run("filter", str(report), "--n-prime", "0") == 2
 
+    @pytest.mark.parametrize("entries", [
+        [{"id": "a", "rank": 1, "score": "high"}],
+        [{"id": "a", "rank": 1, "score": 0.1}, {"id": "b", "rank": 2, "score": 0.9}],
+        [{"id": "a", "rank": 0, "score": 0.5}],
+        [{"id": "a", "rank": 1, "score": 0.5}, {"id": "b", "rank": 3, "score": 0.4}],
+    ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n"])
+    def test_malformed_score_report_is_data_error(self, tmp_path, entries):
+        scores = tmp_path / "s.json"
+        formats.write_report(scores, "score", {}, {"entries": entries})
+        assert run("filter", str(scores), "--n-prime", "1") == 2
+
+    def test_non_finite_embedding_is_data_error(self, tmp_path):
+        path = tmp_path / "inf.emb"
+        formats.write_embeddings(EmbeddingSet(["a", "b"], np.zeros((2, 2))), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        assert run("hdh", str(path), str(path)) == 2
+
     def test_mismatched_image_sizes_is_usage_error(self, tmp_path):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"

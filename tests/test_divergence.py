@@ -55,12 +55,6 @@ class TestBuildStumps:
         klass = divergence.build_stumps(np.array([1.0, 3.0, 10.0]))
         assert [s.threshold for s in klass.stumps] == [2.0, 6.5]
 
-    def test_dims_subset(self):
-        samples = np.array([[0.0, 5.0], [1.0, 6.0]])
-        klass = divergence.build_stumps(samples, dims=[1])
-        assert all(s.dim == 1 for s in klass.stumps)
-        assert [s.threshold for s in klass.stumps] == [5.5]
-
     def test_empty_rejected(self):
         with pytest.raises(RangeError):
             divergence.build_stumps(np.zeros((0,)))

@@ -207,6 +207,18 @@ class TestPerImageMode:
         batch = encoder.encode_batch(imgs, cfg, params, mode="batch").features
         assert len(np.unique(batch, axis=0)) == 4
 
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_refuses_batch_of_one_norm_of_1x1_map(self, variant):
+        """Batch norm over one image's 1x1 map also outputs beta: encoding
+        16x16 images one at a time in batch mode gave them one feature."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stride16_cfg(variant, (16, 16))
+        params = encoder.init_params(3, cfg)
+        imgs = rng.uniform(0, 1, (3, 3, 16, 16))
+        for i in range(3):
+            with pytest.raises(ConfigError):
+                encoder.encode_batch(imgs[i:i + 1], cfg, params, mode="batch")
+
 
 class TestPermutationEquivariance:
     def test_patch_shuffle_with_positional_shuffle_is_invariant(self):

@@ -96,6 +96,29 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="trailing"):
             formats.read_embeddings(path)
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        original = sample_set()
+        path = tmp_path / "t.emb"
+        formats.write_embeddings(original, path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="NaN or Inf"):
+            formats.read_embeddings(path)
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "t.emb"
+        formats.write_embeddings(EmbeddingSet(["ab", "cd"], np.zeros((2, 1))), path)
+        path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
+        with pytest.raises(FormatError, match="duplicate"):
+            formats.read_embeddings(path)
+
+    def test_float32_overflow_refused_before_writing(self, tmp_path):
+        path = tmp_path / "t.emb"
+        with pytest.raises(FormatError, match="overflows float32"):
+            formats.write_embeddings(EmbeddingSet(["a"], np.array([[1e39]])), path)
+        assert not path.exists()
+
     def test_layout_is_little_endian(self, tmp_path):
         original = EmbeddingSet(["ab"], np.array([[1.0]], dtype=np.float32).astype(np.float64))
         path = tmp_path / "l.emb"

@@ -164,7 +164,7 @@ class TestBatchConversion:
         images = sample_images()
         batch = invariance.batch_from_images(images)
         assert batch.shape == (6, 3, 16, 16)
-        np.testing.assert_array_equal(invariance.images_from_batch(batch), images)
+        np.testing.assert_array_equal(batch.transpose(0, 2, 3, 1), images)
 
 
 class TestInvarianceReport:
@@ -198,13 +198,3 @@ class TestInvarianceReport:
         b = invariance.invariance_report(config, params, images, model_id="m", corpus_id="c")
         assert a == b
         assert a.model_id == "m" and a.corpus_id == "c"
-
-    def test_score_lookup(self):
-        config, params = small_model()
-        report = invariance.invariance_report(
-            config, params, sample_images(),
-            [invariance.AugmentationSpec("flip", 0.0)],
-        )
-        assert report.score("flip") == report.entries[0].score
-        with pytest.raises(KeyError):
-            report.score("brightness")

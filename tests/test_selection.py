@@ -103,9 +103,11 @@ class TestKmeans:
             selection.kmeans_fit(x, k=4, seed=0)
 
     def test_objective_value(self):
-        x = np.array([[0.0], [2.0]])
-        centers = np.array([[1.0]])
-        np.testing.assert_allclose(selection.kmeans_objective(x, centers), 2.0, rtol=0)
+        """The objective kmeans_fit records is the summed squared distance
+        to the assigned center: 1 + 1 for one center between two points."""
+        history = []
+        selection.kmeans_fit(np.array([[0.0], [2.0]]), k=1, seed=0, history=history)
+        assert history[-1] == 2.0
 
 
 class TestSelectCluster:

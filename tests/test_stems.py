@@ -94,14 +94,6 @@ class TestShapes:
         with pytest.raises(DimensionError):
             stems.stem_forward(np.zeros((1, 4, 8, 8)), cfg, stems.init_stem_params(1, cfg))
 
-    def test_variant_guards(self):
-        cfg = small_config("conv")
-        params = stems.init_stem_params(1, cfg)
-        with pytest.raises(ConfigError):
-            stems.patchify_forward(np.zeros((1, 3, 8, 8)), cfg, params)
-        with pytest.raises(ConfigError):
-            stems.ics_forward(np.zeros((1, 3, 8, 8)), cfg, params)
-
 
 class TestPatchify:
     def test_zero_image_zero_bias_gives_zero_tokens(self):
@@ -146,8 +138,8 @@ class TestIcsBehavior:
         conv = small_config("conv")
         ics0 = small_config("ics", in_layers=0)
         params = stems.init_stem_params(7, conv)
-        a = stems.conv_stem_forward(imgs, conv, params)
-        b = stems.ics_forward(imgs, ics0, params)
+        a = stems.stem_forward(imgs, conv, params)
+        b = stems.stem_forward(imgs, ics0, params)
         np.testing.assert_array_equal(a, b)
 
     def test_in_half_layer1_statistics(self):

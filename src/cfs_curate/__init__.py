@@ -11,7 +11,6 @@ behind the ``cfs-curate`` command line tool.
 """
 
 from .cfs import (
-    ScoreEntry,
     ScoreTable,
     cfs_score,
     check_distance_identity,
@@ -100,7 +99,6 @@ __all__ = [
     "FormatError",
     "ProxyPair",
     "RangeError",
-    "ScoreEntry",
     "ScoreTable",
     "SelectionConfig",
     "SelectionReport",

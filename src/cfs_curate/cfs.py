@@ -14,11 +14,11 @@ cosine. Hence c >= 1 - eps^2/8 is equivalent to d <= eps/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, check_unique_ids
 from .errors import (
     AlignmentError,
     DegenerateFeatureError,
@@ -27,42 +27,31 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ScoreEntry:
-    id: str
-    score: float
-    rank: int  # 1-based
-
-
 @dataclass
 class ScoreTable:
-    """Scored records sorted by rank; rank 1 is the highest score.
+    """Scored records, best first: ``ids[i]`` scores ``scores[i]`` and has
+    rank ``i + 1``.
 
     Ties are broken by ascending original record index, so a table is a
     deterministic function of its inputs.
     """
 
-    entries: list[ScoreEntry] = field(default_factory=list)
+    ids: list[str]
+    scores: np.ndarray
 
     def __post_init__(self):
-        n = len(self.entries)
-        if sorted(e.rank for e in self.entries) != list(range(1, n + 1)):
-            raise RangeError("ranks must be a permutation of 1..N")
-        self.entries = sorted(self.entries, key=lambda e: e.rank)
-        scores = [e.score for e in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if scores.shape != (len(self.ids),):
+            raise DimensionError(f"{len(self.ids)} ids for scores of shape {scores.shape}")
+        if not np.isfinite(scores).all():
+            raise RangeError("scores must be finite")
+        if np.any(scores[1:] > scores[:-1]):
             raise RangeError("scores must be non-increasing with rank")
+        check_unique_ids(self.ids)
+        self.scores = scores
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ids(self) -> list[str]:
-        return [e.id for e in self.entries]
-
-    @property
-    def scores(self) -> np.ndarray:
-        return np.array([e.score for e in self.entries])
+        return len(self.ids)
 
 
 def _checked_pair(f_source, f_target):
@@ -110,11 +99,7 @@ def score_corpus(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: EmbeddingSe
             )
     scores = np.einsum("nd,nd->n", s.features, t.features) / (norms_s * norms_t)
     order = np.argsort(-scores, kind="stable")  # ties keep ascending index
-    entries = [
-        ScoreEntry(id=s.ids[i], score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order, start=1)
-    ]
-    return ScoreTable(entries=entries)
+    return ScoreTable([s.ids[i] for i in order.tolist()], scores[order])
 
 
 def filter_top(scores: ScoreTable, n_prime: int) -> list[str]:

@@ -80,23 +80,25 @@ def _load_images(paths: list[str]) -> tuple[np.ndarray, list[str]]:
 
 def _table_entries(table: cfs.ScoreTable) -> list[dict]:
     return [
-        {"id": e.id, "rank": e.rank, "score": e.score}
-        for e in table.entries
+        {"id": i, "rank": rank, "score": score}
+        for rank, (i, score) in enumerate(zip(table.ids, table.scores.tolist()), start=1)
     ]
 
 
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
-    """Rebuild a score table; any malformed entry is a FormatError."""
+    """Rebuild a score table from rows in any order; any malformed entry,
+    or ranks that are not a permutation of 1..N, is a FormatError."""
     try:
         rows = document["results"]["entries"]
-        entries = [
-            cfs.ScoreEntry(id=row["id"], score=float(row["score"]), rank=int(row["rank"]))
-            for row in rows
-        ]
-        return cfs.ScoreTable(entries)
+        ranks = [int(row["rank"]) for row in rows]
+        if sorted(ranks) != list(range(1, len(rows) + 1)):
+            raise RangeError("ranks must be a permutation of 1..N")
+        rows = [rows[i] for i in np.argsort(ranks).tolist()]
+        return cfs.ScoreTable([row["id"] for row in rows],
+                              [float(row["score"]) for row in rows])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: not a score report (missing {exc})") from exc
-    except ValueError as exc:  # non-numeric field, unsorted scores, bad ranks
+    except (ValueError, OverflowError) as exc:  # bad numbers, ranks, score order or ids
         raise FormatError(f"{path}: malformed score report: {exc}") from exc
 
 

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
+
+
+def check_unique_ids(ids: list[str]) -> None:
+    """Raise DimensionError naming the first five repeated ids, sorted."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+        raise DimensionError(f"duplicate ids: {dupes[:5]}")
 
 
 @dataclass
@@ -29,9 +37,7 @@ class EmbeddingSet:
             raise DimensionError(
                 f"{len(self.ids)} ids for {feats.shape[0]} feature rows"
             )
-        if len(set(self.ids)) != len(self.ids):
-            dupes = sorted({i for i in self.ids if self.ids.count(i) > 1})
-            raise DimensionError(f"duplicate ids: {dupes[:5]}")
+        check_unique_ids(self.ids)
         if feats.size and not np.isfinite(feats).all():
             raise DimensionError("features contain NaN or Inf")
         self.features = feats

@@ -145,7 +145,7 @@ def compare_strategies(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: Embed
     random strategy when one is present among ``configs``.
     """
     table = cfs.score_corpus(source_by_proxy_s, source_by_proxy_t)
-    score_by_id = {e.id: e.score for e in table.entries}
+    score_by_id = dict(zip(table.ids, table.scores.tolist()))
     nearest = _max_cosine_to_rows(
         source_by_proxy_s.features, target.features, "nearest-target metric"
     )

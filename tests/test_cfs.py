@@ -111,8 +111,8 @@ class TestScoreCorpus:
         t = EmbeddingSet(ids, np.tile([1.0, 0.0], (3, 1)))
         table = cfs.score_corpus(s, t)
         assert table.ids == ["a", "c", "b"]
-        assert [e.rank for e in table.entries] == [1, 2, 3]
-        assert {e.id: e.rank for e in table.entries} == {"a": 1, "b": 3, "c": 2}
+        # rank i + 1 is position i
+        assert {rid: pos + 1 for pos, rid in enumerate(table.ids)} == {"a": 1, "b": 3, "c": 2}
         np.testing.assert_allclose(table.scores, [0.9, 0.7, 0.5], rtol=1e-12)
 
     def test_single_record(self):
@@ -120,7 +120,9 @@ class TestScoreCorpus:
         t = EmbeddingSet(["only"], np.array([[-3.0, 0.5]]))
         table = cfs.score_corpus(s, t)
         assert len(table) == 1
-        assert table.entries[0].rank == 1
+        assert table.ids == ["only"]
+        assert table.scores.shape == (1,)
+        np.testing.assert_allclose(table.scores[0], naive_cosine([1.0, 2.0], [-3.0, 0.5]), rtol=1e-12)
 
     def test_matches_brute_force(self):
         for seed in range(3):
@@ -144,13 +146,32 @@ class TestScoreCorpus:
 
 
 class TestScoreTable:
-    def test_rank_permutation_enforced(self):
-        with pytest.raises(RangeError):
-            cfs.ScoreTable([cfs.ScoreEntry("a", 1.0, 1), cfs.ScoreEntry("b", 0.5, 3)])
+    def test_columns(self):
+        table = cfs.ScoreTable(["a", "b", "c"], [0.9, 0.5, 0.5])
+        assert table.ids == ["a", "b", "c"]
+        assert table.scores.dtype == np.float64
+        np.testing.assert_array_equal(table.scores, [0.9, 0.5, 0.5])
+        assert len(table) == 3
+        assert len(cfs.ScoreTable([], [])) == 0
+
+    def test_lengths_must_match(self):
+        with pytest.raises(DimensionError):
+            cfs.ScoreTable(["a", "b"], [1.0])
+        with pytest.raises(DimensionError):
+            cfs.ScoreTable(["a"], [[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_scores_enforced(self, bad):
+        with pytest.raises(RangeError, match="finite"):
+            cfs.ScoreTable(["a", "b"], [1.0, bad])
 
     def test_monotone_scores_enforced(self):
         with pytest.raises(RangeError):
-            cfs.ScoreTable([cfs.ScoreEntry("a", 0.5, 1), cfs.ScoreEntry("b", 0.9, 2)])
+            cfs.ScoreTable(["a", "b"], [0.5, 0.9])
+
+    def test_unique_ids_enforced(self):
+        with pytest.raises(DimensionError, match="duplicate ids: \\['a'\\]"):
+            cfs.ScoreTable(["a", "b", "a"], [0.9, 0.5, 0.1])
 
 
 class TestFilterTop:

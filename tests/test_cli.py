@@ -72,7 +72,11 @@ class TestExitCodes:
         [{"id": "a", "rank": 1, "score": 0.1}, {"id": "b", "rank": 2, "score": 0.9}],
         [{"id": "a", "rank": 0, "score": 0.5}],
         [{"id": "a", "rank": 1, "score": 0.5}, {"id": "b", "rank": 3, "score": 0.4}],
-    ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n"])
+        [{"id": "a", "rank": 1, "score": 0.5}, {"id": "b", "rank": 1, "score": 0.4}],
+        [{"id": "a", "rank": 1, "score": float("nan")}, {"id": "b", "rank": 2, "score": 0.4}],
+        [{"id": "a", "rank": 1, "score": 0.5}, {"id": "a", "rank": 2, "score": 0.4}],
+    ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n",
+            "repeated_rank", "nan_score", "repeated_id"])
     def test_malformed_score_report_is_data_error(self, tmp_path, entries):
         scores = tmp_path / "s.json"
         formats.write_report(scores, "score", {}, {"entries": entries})

@@ -1,6 +1,8 @@
 """Binary embedding files, PPM images, deterministic JSON reports."""
 
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +114,16 @@ class TestEmbeddingFile:
         path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
         with pytest.raises(FormatError, match="duplicate"):
             formats.read_embeddings(path)
+
+        # 10 000 ids, each twice: rejected in linear time, naming the first five
+        n = 10_000
+        ids = [f"a{i:05d}" for i in range(n)] + [f"b{i:05d}" for i in range(n)]
+        formats.write_embeddings(EmbeddingSet(ids, np.zeros((2 * n, 1))), path)
+        path.write_bytes(path.read_bytes().replace(b"\x06\x00\x00\x00b", b"\x06\x00\x00\x00a"))
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=re.escape(str(ids[:5]))):
+            formats.read_embeddings(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_float32_overflow_refused_before_writing(self, tmp_path):
         path = tmp_path / "t.emb"

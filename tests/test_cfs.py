@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfs_curate import cfs
+from cfs_curate.cli import _table_from_report
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import (
     AlignmentError,
     DegenerateFeatureError,
     DimensionError,
+    FormatError,
     RangeError,
 )
 
@@ -164,6 +166,21 @@ class TestScoreTable:
     def test_finite_scores_enforced(self, bad):
         with pytest.raises(RangeError, match="finite"):
             cfs.ScoreTable(["a", "b"], [1.0, bad])
+
+    def test_rank_permutation_enforced(self):
+        # ranks are positions in the table; the report parser, the only
+        # reader of an explicit rank, maps rows by rank and checks 1..N
+        def rows(*ranks):
+            report = {"results": {"entries": [
+                {"id": i, "rank": r, "score": s}
+                for i, r, s in zip("abc", ranks, (1.0, 0.5, 0.2))]}}
+            return _table_from_report(report, "scores.json")
+
+        table = rows(1, 2, 3)
+        assert table.ids == ["a", "b", "c"]
+        for ranks in [(1, 3), (0, 1), (1, 1), (1, 2, 4)]:
+            with pytest.raises(FormatError, match="permutation of 1..N"):
+                rows(*ranks)
 
     def test_monotone_scores_enforced(self):
         with pytest.raises(RangeError):

@@ -21,7 +21,6 @@ from .cfs import (
 )
 from .divergence import (
     BoundInputs,
-    Stump,
     StumpClass,
     build_stumps,
     erb_bound_rhs,
@@ -104,7 +103,6 @@ __all__ = [
     "SelectionReport",
     "ShiftSpec",
     "StemConfig",
-    "Stump",
     "StumpClass",
     "SynthCorpus",
     "VARIANTS",

@@ -86,19 +86,26 @@ def _table_entries(table: cfs.ScoreTable) -> list[dict]:
 
 
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
-    """Rebuild a score table from rows in any order; any malformed entry,
-    or ranks that are not a permutation of 1..N, is a FormatError."""
+    """Rebuild a score table from rows in any order. Any malformed entry is
+    a FormatError: entries that are not a list of objects, a rank that is
+    not an int, an id that is not a str, a score that is not a number (a
+    bool is none of these), or ranks that are not a permutation of 1..N."""
     try:
         rows = document["results"]["entries"]
-        ranks = [int(row["rank"]) for row in rows]
+        if not isinstance(rows, list) or not set(map(type, rows)) <= {dict}:
+            raise FormatError(f"{path}: score report entries must be a list of objects")
+        ranks, ids, scores = ([row[key] for row in rows] for key in ("rank", "id", "score"))
+        if not (set(map(type, ranks)) <= {int} and set(map(type, ids)) <= {str}
+                and set(map(type, scores)) <= {int, float}):
+            raise FormatError(f"{path}: score report rows need an int rank, a str id"
+                              " and a numeric score")
         if sorted(ranks) != list(range(1, len(rows) + 1)):
             raise RangeError("ranks must be a permutation of 1..N")
-        rows = [rows[i] for i in np.argsort(ranks).tolist()]
-        return cfs.ScoreTable([row["id"] for row in rows],
-                              [float(row["score"]) for row in rows])
+        order = np.argsort(ranks).tolist()
+        return cfs.ScoreTable([ids[i] for i in order], [float(scores[i]) for i in order])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: not a score report (missing {exc})") from exc
-    except (ValueError, OverflowError) as exc:  # bad numbers, ranks, score order or ids
+    except (ValueError, OverflowError) as exc:  # ranks, non-finite or increasing scores, ids
         raise FormatError(f"{path}: malformed score report: {exc}") from exc
 
 

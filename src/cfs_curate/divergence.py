@@ -7,50 +7,51 @@ on which h and h' disagree. Restricted to a finite class of axis-aligned
 stumps the supremum is an exact finite maximum, computed by enumeration;
 it lower-bounds the same quantity over any richer class containing the
 stumps. No factor of 2 is applied.
+
+The class is two columns, stump dims and thresholds, so the H x n
+prediction matrix P is one comparison. Hypotheses i and j disagree on
+s_i + s_j - 2 (P P^T)_ij samples (s = row sums of P): exact integers
+from one GEMM per sample. Peak memory is the two H x H rate matrices,
+about 2 H^2 float64 values; the per-dimension threshold cap bounds H,
+so memory still grows with its square.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RangeError
 
 
-@dataclass(frozen=True)
-class Stump:
-    """Threshold rule: predict 1 where x[dim] > threshold."""
-    dim: int
-    threshold: float
-
-
 @dataclass
 class StumpClass:
-    """Finite hypothesis class: the two constants plus threshold stumps.
-
-    Hypothesis order is fixed (constant 0, constant 1, then stumps in
-    build order) so enumeration results are deterministic.
+    """Finite hypothesis class: constant 0, constant 1, then stump k, which
+    predicts 1 where x[dims[k]] > thresholds[k]. The order is fixed so
+    enumeration results are deterministic.
     """
 
     n_dims: int
-    stumps: list[Stump] = field(default_factory=list)
+    dims: np.ndarray
+    thresholds: np.ndarray
 
     def __post_init__(self):
-        for stump in self.stumps:
-            if not 0 <= stump.dim < self.n_dims:
-                raise RangeError(f"stump dim {stump.dim} outside 0..{self.n_dims - 1}")
+        dims = np.asarray(self.dims)
+        self.dims = dims.astype(np.intp)
+        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        if (self.dims.ndim != 1 or self.dims.shape != self.thresholds.shape
+                or not np.all((dims == self.dims) & (0 <= dims) & (dims < self.n_dims))):
+            raise RangeError(f"stumps need one integer dim in 0..{self.n_dims - 1} per threshold")
 
     def __len__(self) -> int:
-        return len(self.stumps) + 2
+        return len(self.dims) + 2
 
     def predict_matrix(self, samples) -> np.ndarray:
         """(n_hypotheses, n_samples) 0/1 predictions; rows follow class order."""
         x = _as_samples(samples, self.n_dims)
         n = x.shape[0]
-        rows = [np.zeros(n), np.ones(n)]
-        rows += [(x[:, s.dim] > s.threshold).astype(np.float64) for s in self.stumps]
-        return np.stack(rows)
+        return np.vstack([np.zeros(n), np.ones(n), x.T[self.dims] > self.thresholds[:, None]])
 
 
 def _as_samples(samples, n_dims=None) -> np.ndarray:
@@ -73,22 +74,29 @@ def build_stumps(samples, max_thresholds_per_dim=None) -> StumpClass:
     kept), which is deterministic.
     """
     x = _as_samples(samples)
-    n_dims = x.shape[1]
-    stumps = []
-    for dim in range(n_dims):
-        uniq = np.unique(x[:, dim])
+    cap = max_thresholds_per_dim
+    if cap is not None and cap < 0:
+        raise RangeError(f"max_thresholds_per_dim must be >= 0, got {cap}")
+    per_dim = []
+    for column in x.T:
+        uniq = np.unique(column)
         mids = (uniq[:-1] + uniq[1:]) / 2.0
-        cap = max_thresholds_per_dim
-        if cap is not None:
-            if cap < 0:
-                raise RangeError(f"max_thresholds_per_dim must be >= 0, got {cap}")
-            if cap == 0:
-                mids = mids[:0]
-            elif len(mids) > cap:
-                picks = np.round(np.linspace(0, len(mids) - 1, cap)).astype(int)
-                mids = mids[picks]
-        stumps += [Stump(dim=dim, threshold=float(t)) for t in mids]
-    return StumpClass(n_dims=n_dims, stumps=stumps)
+        if cap is not None and len(mids) > cap:
+            mids = mids[np.round(np.linspace(0, len(mids) - 1, cap)).astype(int)]
+        per_dim.append(mids)
+    dims = np.repeat(np.arange(x.shape[1]), [len(mids) for mids in per_dim])
+    return StumpClass(x.shape[1], dims, np.concatenate([np.zeros(0), *per_dim]))
+
+
+def _disagreement_rates(hypothesis_class: StumpClass, samples) -> np.ndarray:
+    p = hypothesis_class.predict_matrix(samples)
+    ones = p.sum(axis=1)
+    rates = p @ p.T
+    rates *= -2.0
+    rates += ones[:, None]
+    rates += ones
+    rates /= p.shape[1]
+    return rates
 
 
 def hdh_empirical(u1, u2, hypothesis_class: StumpClass) -> float:
@@ -98,15 +106,9 @@ def hdh_empirical(u1, u2, hypothesis_class: StumpClass) -> float:
     2^53), so the result is bit-reproducible and matches a pure-loop
     enumeration exactly.
     """
-    p1 = hypothesis_class.predict_matrix(u1)
-    p2 = hypothesis_class.predict_matrix(u2)
-    n1 = p1.shape[1]
-    n2 = p2.shape[1]
-    # disagreement count between rows i and j: i(1-j) + (1-i)j
-    counts1 = p1 @ (1.0 - p1).T + (1.0 - p1) @ p1.T
-    counts2 = p2 @ (1.0 - p2).T + (1.0 - p2) @ p2.T
-    gaps = np.abs(counts1 / n1 - counts2 / n2)
-    return float(gaps.max())
+    gaps = _disagreement_rates(hypothesis_class, u1)
+    gaps -= _disagreement_rates(hypothesis_class, u2)
+    return float(np.abs(gaps, out=gaps).max())
 
 
 @dataclass(frozen=True)

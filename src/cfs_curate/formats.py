@@ -137,10 +137,9 @@ def read_image_ppm(path) -> np.ndarray:
     tokens, offset = _ppm_tokens(data, path)
     if tokens[0] != b"P6":
         raise FormatError(f"{path}: not a P6 file (magic {tokens[0]!r})")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric header field") from exc
+    if not all(t.isdigit() for t in tokens[1:]):  # bytes.isdigit is ASCII 0-9 only
+        raise FormatError(f"{path}: header fields must be decimal digits, got {tokens[1:]}")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:

@@ -161,24 +161,14 @@ def _norm_setup(x: np.ndarray, mode: str, gamma: np.ndarray, beta: np.ndarray):
     return axes, pshape, count
 
 
-def normalize(
-    x: np.ndarray,
-    mode: str,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over the mode's axes.
+def normalize_cached(x, mode, gamma, beta, eps=1e-5):
+    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over the mode's axes,
+    and the cache ``normalize_backward`` needs.
 
     ``batch`` reduces over (B, H, W) per channel, ``instance`` over (H, W)
     per sample and channel, ``layer`` over the last axis. Variance is the
     biased estimator of the current data; there are no running statistics.
     """
-    out, _ = normalize_cached(x, mode, gamma, beta, eps)
-    return out
-
-
-def normalize_cached(x, mode, gamma, beta, eps=1e-5):
     axes, pshape, count = _norm_setup(x, mode, gamma, beta)
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
@@ -191,7 +181,7 @@ def normalize_cached(x, mode, gamma, beta, eps=1e-5):
 
 
 def normalize_backward(grad_out: np.ndarray, cache):
-    """Gradients of normalize w.r.t. x, gamma, and beta."""
+    """Gradients of normalize_cached w.r.t. x, gamma, and beta."""
     xhat, centered, inv_std, gamma, axes, pshape, count = cache
     param_axes = tuple(i for i in range(grad_out.ndim) if pshape[i] == 1)
     dgamma = (grad_out * xhat).sum(axis=param_axes)

@@ -75,8 +75,17 @@ class TestExitCodes:
         [{"id": "a", "rank": 1, "score": 0.5}, {"id": "b", "rank": 1, "score": 0.4}],
         [{"id": "a", "rank": 1, "score": float("nan")}, {"id": "b", "rank": 2, "score": 0.4}],
         [{"id": "a", "rank": 1, "score": 0.5}, {"id": "a", "rank": 2, "score": 0.4}],
+        [{"id": "a", "rank": 1.5, "score": 0.5}],
+        [{"id": "a", "rank": "1", "score": 0.5}],
+        [{"id": "a", "rank": True, "score": 0.5}],
+        [{"id": None, "rank": 1, "score": 0.5}],
+        [{"id": 5, "rank": 1, "score": 0.5}],
+        [{"id": "a", "rank": 1, "score": "0.5"}],
+        [{"id": "a", "rank": 1, "score": True}],
+        {},
     ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n",
-            "repeated_rank", "nan_score", "repeated_id"])
+            "repeated_rank", "nan_score", "repeated_id", "float_rank", "string_rank",
+            "bool_rank", "null_id", "int_id", "string_score", "bool_score", "entries_object"])
     def test_malformed_score_report_is_data_error(self, tmp_path, entries):
         scores = tmp_path / "s.json"
         formats.write_report(scores, "score", {}, {"entries": entries})

@@ -1,13 +1,15 @@
 """Stump hypothesis classes, empirical HdH distance, bound arithmetic."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfs_curate import divergence
+from cfs_curate import cli, divergence, formats
+from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import RangeError
 
 
@@ -22,7 +24,8 @@ def loop_hdh(u1, u2, hypothesis_class):
         dim, threshold = h
         return 1.0 if x[dim] > threshold else 0.0
 
-    hyps = ["zero", "one"] + [(s.dim, s.threshold) for s in hypothesis_class.stumps]
+    stumps = zip(hypothesis_class.dims.tolist(), hypothesis_class.thresholds.tolist())
+    hyps = ["zero", "one"] + list(stumps)
     best = 0.0
     for h, g in itertools.product(hyps, repeat=2):
         frac1 = np.mean([evaluate(h, x) != evaluate(g, x) for x in u1])
@@ -35,25 +38,33 @@ class TestBuildStumps:
     def test_binary_values(self):
         klass = divergence.build_stumps(np.array([0.0, 1.0]))
         assert len(klass) == 3  # two constants + one stump
-        assert klass.stumps == [divergence.Stump(0, 0.5)]
+        assert klass.dims.tolist() == [0]
+        assert klass.thresholds.tolist() == [0.5]
 
     def test_single_distinct_value(self):
         klass = divergence.build_stumps(np.array([0.7, 0.7, 0.7]))
-        assert klass.stumps == []
+        assert klass.dims.shape == klass.thresholds.shape == (0,)
         assert len(klass) == 2
 
     def test_cap_limits_thresholds(self):
         samples = np.arange(10.0)
         klass = divergence.build_stumps(samples, max_thresholds_per_dim=4)
-        assert len(klass.stumps) == 4
+        assert len(klass.thresholds) == 4
         full = divergence.build_stumps(samples)
-        assert len(full.stumps) == 9
-        chosen = {s.threshold for s in klass.stumps}
-        assert chosen <= {s.threshold for s in full.stumps}
+        assert len(full.thresholds) == 9
+        assert set(klass.thresholds) <= set(full.thresholds)
 
     def test_midpoints(self):
         klass = divergence.build_stumps(np.array([1.0, 3.0, 10.0]))
-        assert [s.threshold for s in klass.stumps] == [2.0, 6.5]
+        assert klass.thresholds.tolist() == [2.0, 6.5]
+
+    def test_columns_follow_dimension_order(self):
+        x = np.array([[0.0, 5.0, 1.0], [2.0, 5.0, 3.0], [4.0, 5.0, 9.0]])
+        klass = divergence.build_stumps(x)
+        assert klass.dims.dtype == np.intp
+        assert klass.dims.tolist() == [0, 0, 2, 2]
+        assert klass.thresholds.tolist() == [1.0, 3.0, 2.0, 6.0]
+        assert len(klass) == 6
 
     def test_empty_rejected(self):
         with pytest.raises(RangeError):
@@ -66,7 +77,7 @@ class TestBuildStumps:
 
 class TestPredictMatrix:
     def test_hand_case(self):
-        klass = divergence.StumpClass(n_dims=1, stumps=[divergence.Stump(0, 0.5)])
+        klass = divergence.StumpClass(n_dims=1, dims=[0], thresholds=[0.5])
         preds = klass.predict_matrix(np.array([0.0, 0.4, 0.6, 1.0]))
         np.testing.assert_array_equal(preds, [
             [0.0, 0.0, 0.0, 0.0],   # constant 0
@@ -75,9 +86,22 @@ class TestPredictMatrix:
         ])
 
     def test_strict_inequality_at_threshold(self):
-        klass = divergence.StumpClass(n_dims=1, stumps=[divergence.Stump(0, 0.5)])
+        klass = divergence.StumpClass(n_dims=1, dims=[0], thresholds=[0.5])
         preds = klass.predict_matrix(np.array([0.5]))
         assert preds[2, 0] == 0.0
+
+    def test_rows_follow_column_order(self):
+        klass = divergence.StumpClass(n_dims=2, dims=[1, 0], thresholds=[0.0, 2.0])
+        preds = klass.predict_matrix(np.array([[1.0, -1.0], [3.0, 1.0]]))
+        assert preds.dtype == np.float64
+        np.testing.assert_array_equal(preds[2:], [[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("dims,thresholds", [
+        ([1], [0.5]), ([-1], [0.5]), ([0.5], [0.5]), ([0, 0], [0.5]), ([[0]], [[0.5]]),
+    ], ids=["dim_too_large", "dim_negative", "fractional_dim", "unequal_lengths", "not_1d"])
+    def test_bad_columns_rejected(self, dims, thresholds):
+        with pytest.raises(RangeError):
+            divergence.StumpClass(n_dims=1, dims=dims, thresholds=thresholds)
 
 
 class TestHdhEmpirical:
@@ -94,12 +118,12 @@ class TestHdhEmpirical:
         assert divergence.hdh_empirical(u1, u2, klass) == 1.0
 
     def test_constants_only_class(self):
-        klass = divergence.StumpClass(n_dims=1, stumps=[])
+        klass = divergence.StumpClass(n_dims=1, dims=[], thresholds=[])
         rng = np.random.default_rng(1)
         assert divergence.hdh_empirical(rng.normal(size=5), rng.normal(size=7), klass) == 0.0
 
     def test_empty_samples_rejected(self):
-        klass = divergence.StumpClass(n_dims=1, stumps=[])
+        klass = divergence.StumpClass(n_dims=1, dims=[], thresholds=[])
         with pytest.raises(RangeError):
             divergence.hdh_empirical(np.zeros((0,)), np.ones(3), klass)
         with pytest.raises(RangeError):
@@ -129,6 +153,43 @@ class TestHdhEmpirical:
         u2 = rng.normal(size=(5, 1))
         klass = divergence.build_stumps(np.vstack([u1, u2]))
         assert divergence.hdh_empirical(u1, u2, klass) == divergence.hdh_empirical(u2, u1, klass)
+
+    def test_peak_memory_is_two_rate_matrices(self):
+        """About 1000 hypotheses over 32 dims; the two H x H rate matrices
+        are the peak, so at most 2.5 H^2 float64 values are live at once."""
+        rng = np.random.default_rng(4)
+        u1 = rng.normal(size=(40, 32))
+        u2 = rng.normal(size=(40, 32)) + 0.3
+        klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=31)
+        h = len(klass)
+        assert h == 2 + 32 * 31
+        tracemalloc.start()
+        try:
+            divergence.hdh_empirical(u1, u2, klass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * h * h * 8, f"peak {peak / (h * h * 8):.2f} H^2 float64"
+
+    def test_cli_matches_loop_oracle_on_multidimensional_files(self, tmp_path):
+        """``hdh`` on random 3-D EMB1 files, one dimension with ties, equals
+        the loop oracle over the same class."""
+        rng = np.random.default_rng(6)
+        paths = []
+        for name, n, shift in (("a", 9, 0.0), ("b", 11, 0.4)):
+            x = rng.normal(size=(n, 3)) + shift
+            x[:, 2] = rng.integers(0, 3, size=n)
+            paths.append(tmp_path / f"{name}.emb")
+            formats.write_embeddings(EmbeddingSet([f"{name}{i}" for i in range(n)], x), paths[-1])
+        out = tmp_path / "hdh.json"
+        assert cli.main(["hdh", *map(str, paths), "--max-thresholds", "12",
+                         "--out", str(out)]) == 0
+        u1, u2 = (formats.read_embeddings(path).features for path in paths)
+        klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=12)
+        assert klass.dims.tolist() == [0] * 12 + [1] * 12 + [2] * 2
+        results = formats.read_report(out)["results"]
+        assert results["hypothesis_count"] == len(klass)
+        assert 0.0 < results["d_hdh"] == loop_hdh(u1, u2, klass) < 1.0
 
 
 class TestBoundInputs:

@@ -187,6 +187,16 @@ class TestPpm:
         with pytest.raises(FormatError, match="255"):
             formats.read_image_ppm(path)
 
+    @pytest.mark.parametrize("header,pixels", [
+        (b"P6 1_6 2 255\n", 32), (b"P6 +2 1 255\n", 2), (b"P6 1 1 2_55\n", 1),
+    ], ids=["underscore_width", "signed_width", "underscore_maxval"])
+    def test_non_decimal_header_number_rejected(self, tmp_path, header, pixels):
+        """int() would read these as 16, 2 and 255, with a payload to match."""
+        path = tmp_path / "n.ppm"
+        path.write_bytes(header + b"\x00" * (3 * pixels))
+        with pytest.raises(FormatError, match="decimal digits"):
+            formats.read_image_ppm(path)
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(6, 4, 3))

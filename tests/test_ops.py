@@ -119,14 +119,14 @@ class TestNormalize:
         mean 0 and variance 1, up to eps, for eps <= 1e-8."""
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(3, 4, 5, 6))
-        out = ops.normalize(x, "instance", np.ones(4), np.zeros(4), eps=1e-10)
+        out = ops.normalize_cached(x, "instance", np.ones(4), np.zeros(4), eps=1e-10)[0]
         assert np.abs(out.mean(axis=(2, 3))).max() <= 1e-10
         assert np.abs(out.var(axis=(2, 3)) - 1).max() <= 1e-6
 
     def test_batch_mode_statistics(self):
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(3, 4, 5, 6))
-        out = ops.normalize(x, "batch", np.ones(4), np.zeros(4), eps=1e-10)
+        out = ops.normalize_cached(x, "batch", np.ones(4), np.zeros(4), eps=1e-10)[0]
         assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-10
         assert np.abs(out.var(axis=(0, 2, 3)) - 1).max() <= 1e-6
 
@@ -136,25 +136,25 @@ class TestNormalize:
         x = rng.normal(size=(1, 2, 3, 3))
         g, b = rng.normal(size=2), rng.normal(size=2)
         np.testing.assert_allclose(
-            ops.normalize(x, "batch", g, b),
-            ops.normalize(x, "instance", g, b),
+            ops.normalize_cached(x, "batch", g, b)[0],
+            ops.normalize_cached(x, "instance", g, b)[0],
             atol=1e-14,
         )
 
     def test_layer_mode_normalizes_last_axis(self):
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(2, 7, 9))
-        out = ops.normalize(x, "layer", np.ones(9), np.zeros(9), eps=1e-12)
+        out = ops.normalize_cached(x, "layer", np.ones(9), np.zeros(9), eps=1e-12)[0]
         np.testing.assert_allclose(out.mean(axis=-1), 0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=-1), 1, atol=1e-6)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(RangeError):
-            ops.normalize(np.zeros((1, 1, 2, 2)), "group", np.ones(1), np.zeros(1))
+            ops.normalize_cached(np.zeros((1, 1, 2, 2)), "group", np.ones(1), np.zeros(1))[0]
 
     def test_affine_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ops.normalize(np.zeros((1, 3, 2, 2)), "batch", np.ones(2), np.zeros(2))
+            ops.normalize_cached(np.zeros((1, 3, 2, 2)), "batch", np.ones(2), np.zeros(2))[0]
 
     @pytest.mark.parametrize("mode,shape", [
         ("batch", (2, 3, 4, 4)),
@@ -171,9 +171,13 @@ class TestNormalize:
 
         out, cache = ops.normalize_cached(x, mode, gamma, beta)
         dx, dg, db = ops.normalize_backward(w, cache)
-        fx = ops.fd_gradient(lambda m: float(np.sum(ops.normalize(m, mode, gamma, beta) * w)), x)
-        fg = ops.fd_gradient(lambda m: float(np.sum(ops.normalize(x, mode, m, beta) * w)), gamma)
-        fb = ops.fd_gradient(lambda m: float(np.sum(ops.normalize(x, mode, gamma, m) * w)), beta)
+
+        def loss(x, gamma, beta):
+            return float(np.sum(ops.normalize_cached(x, mode, gamma, beta)[0] * w))
+
+        fx = ops.fd_gradient(lambda m: loss(m, gamma, beta), x)
+        fg = ops.fd_gradient(lambda m: loss(x, m, beta), gamma)
+        fb = ops.fd_gradient(lambda m: loss(x, gamma, m), beta)
         assert ops.max_relative_error(dx, fx) < 1e-5
         assert ops.max_relative_error(dg, fg) < 1e-5
         assert ops.max_relative_error(db, fb) < 1e-5

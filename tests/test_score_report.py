@@ -102,8 +102,7 @@ def mutate(draw, document):
     elif kind == "change_type":
         key = draw(st.sampled_from(["id", "rank", "score"]))
         row[key] = draw(st.sampled_from([None, "x", [], {}]))
-        # "x" or None is still a usable id
-        malformed = key != "id" or isinstance(row[key], (list, dict))
+        malformed = key != "id" or row[key] != "x"  # only a str is an id
     elif kind == "non_finite":
         row[draw(st.sampled_from(["score", "rank"]))] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf]))

@@ -155,8 +155,8 @@ class TestIcsBehavior:
             stride=2,
         )
         half = 2
-        normed = ops.normalize(conv_out[:, :half], "instance",
-                               np.ones(half), np.zeros(half), eps=1e-12)
+        normed = ops.normalize_cached(conv_out[:, :half], "instance",
+                                      np.ones(half), np.zeros(half), eps=1e-12)[0]
         assert np.abs(normed.mean(axis=(2, 3))).max() < 1e-8
         assert np.abs(normed.var(axis=(2, 3)) - 1).max() < 1e-8
 
@@ -175,8 +175,8 @@ class TestIcsBehavior:
 
         def in_half(x):
             conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, np.zeros(4), stride=2)
-            return ops.normalize(conv_out[:, :half], "instance",
-                                 np.ones(half), np.zeros(half))
+            return ops.normalize_cached(conv_out[:, :half], "instance",
+                                        np.ones(half), np.zeros(half))[0]
 
         np.testing.assert_allclose(in_half(imgs + offsets), in_half(imgs), atol=1e-8)
 
@@ -195,10 +195,10 @@ class TestIcsBehavior:
 
         def halves(x):
             conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, np.zeros(4), stride=2)
-            in_part = ops.normalize(conv_out[:, :half], "instance",
-                                    gamma[:half], beta[:half])
-            bn_part = ops.normalize(conv_out[:, half:], "batch",
-                                    gamma[half:], beta[half:])
+            in_part = ops.normalize_cached(conv_out[:, :half], "instance",
+                                           gamma[:half], beta[:half])[0]
+            bn_part = ops.normalize_cached(conv_out[:, half:], "batch",
+                                           gamma[half:], beta[half:])[0]
             return in_part, bn_part
 
         in_a, bn_a = halves(imgs)

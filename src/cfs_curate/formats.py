@@ -11,16 +11,21 @@ Embedding file layout (little-endian throughout):
 
 Features are 64-bit in memory and narrowed to 32-bit on write; a
 round-trip is exact at 32-bit precision and ids survive byte-for-byte.
-A value beyond the float32 range is refused before anything is written,
-and a file holding non-finite features or duplicate ids is malformed.
-Reports are JSON with sorted keys and no timestamps, so a fixed-seed run
-writes byte-identical files.
+A value beyond the float32 range, or records of dimension 0, is refused
+before anything is written; a file holding non-finite features,
+duplicate ids or records of dimension 0 is malformed. Reports are JSON
+with sorted keys and no timestamps, so a fixed-seed run writes
+byte-identical files: exactly ``json.dumps(document, sort_keys=True,
+indent=2)`` plus a newline, written without CPython's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +36,31 @@ from .validation import check_image
 
 EMB_MAGIC = b"EMB1"
 EMB_VERSION = 1
+_HEADER = struct.Struct("<HII")  # version, count, dim
+_ID_LENGTH = struct.Struct("<I")
+
+# no P6 payload of 10**18 or more bytes fits in a file, so a longer header
+# number is malformed (and int() refuses more than 4300 digits)
+_PPM_MAX_DIGITS = 18
 
 REPORT_SCHEMA_VERSION = 1
 
 
 def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
     path = Path(path)
+    if len(embedding_set) and not embedding_set.dim:
+        raise FormatError(f"cannot write embeddings to {path}: "
+                          f"{len(embedding_set)} records of dimension 0")
     with np.errstate(over="ignore"):
         features = embedding_set.features.astype("<f4")
     if not np.isfinite(features).all():
         raise FormatError(f"cannot write embeddings to {path}: a feature overflows float32")
     blob = bytearray()
     blob += EMB_MAGIC
-    blob += struct.pack("<HII", EMB_VERSION, len(embedding_set), embedding_set.dim)
+    blob += _HEADER.pack(EMB_VERSION, len(embedding_set), embedding_set.dim)
     for record_id in embedding_set.ids:
         data = record_id.encode("utf-8")
-        blob += struct.pack("<I", len(data))
+        blob += _ID_LENGTH.pack(len(data))
         blob += data
     blob += features.tobytes(order="C")
     try:
@@ -55,21 +69,11 @@ def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
         raise FormatError(f"cannot write embeddings to {path}: {exc}") from exc
 
 
-class _Cursor:
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int, block: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"{self.path}: truncated in {block} "
-                f"(needed {n} bytes at offset {self.pos}, have {len(self.data) - self.pos})"
-            )
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+def _truncated(path: Path, block: str, needed: int, offset: int, size: int) -> FormatError:
+    return FormatError(
+        f"{path}: truncated in {block} "
+        f"(needed {needed} bytes at offset {offset}, have {size - offset})"
+    )
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -78,24 +82,42 @@ def read_embeddings(path) -> EmbeddingSet:
         data = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read embeddings from {path}: {exc}") from exc
-    cur = _Cursor(data, path)
-    magic = cur.take(4, "header")
-    if magic != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {EMB_MAGIC!r}")
-    version, count, dim = struct.unpack("<HII", cur.take(10, "header"))
+    size = len(data)
+    if size < 4:
+        raise _truncated(path, "header", 4, 0, size)
+    if data[:4] != EMB_MAGIC:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {EMB_MAGIC!r}")
+    if size < 14:
+        raise _truncated(path, "header", 10, 4, size)
+    version, count, dim = _HEADER.unpack_from(data, 4)
     if version != EMB_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
+    if count and not dim:
+        raise FormatError(f"{path}: {count} records of dimension 0")
+    # one pass over the ids block: a u32 length, then that many UTF-8 bytes;
+    # an id that is not UTF-8 is reported before any later truncation
+    unpack_length = _ID_LENGTH.unpack_from
     ids = []
-    for _ in range(count):
-        (length,) = struct.unpack("<I", cur.take(4, "ids block"))
-        try:
-            ids.append(cur.take(length, "ids block").decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: id is not valid UTF-8") from exc
-    raw = cur.take(count * dim * 4, "features block")
-    if cur.pos != len(data):
-        raise FormatError(f"{path}: {len(data) - cur.pos} trailing bytes after features block")
-    features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(count, dim)
+    append = ids.append
+    pos = 14
+    try:
+        for _ in range(count):
+            start = pos + 4
+            if start > size:
+                raise _truncated(path, "ids block", 4, pos, size)
+            (length,) = unpack_length(data, pos)
+            pos = start + length
+            if pos > size:
+                raise _truncated(path, "ids block", length, start, size)
+            append(data[start:pos].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: id is not valid UTF-8") from exc
+    need = count * dim * 4
+    if pos + need > size:
+        raise _truncated(path, "features block", need, pos, size)
+    if pos + need != size:
+        raise FormatError(f"{path}: {size - pos - need} trailing bytes after features block")
+    features = np.frombuffer(data[pos:], dtype="<f4").astype(np.float64).reshape(count, dim)
     try:
         return EmbeddingSet(ids=ids, features=features)
     except DimensionError as exc:  # non-finite features or duplicate ids
@@ -139,6 +161,8 @@ def read_image_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: not a P6 file (magic {tokens[0]!r})")
     if not all(t.isdigit() for t in tokens[1:]):  # bytes.isdigit is ASCII 0-9 only
         raise FormatError(f"{path}: header fields must be decimal digits, got {tokens[1:]}")
+    if any(len(t) > _PPM_MAX_DIGITS for t in tokens[1:]):
+        raise FormatError(f"{path}: a header number has more than {_PPM_MAX_DIGITS} digits")
     width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
@@ -166,15 +190,71 @@ def write_image_ppm(image, path) -> None:
         raise FormatError(f"cannot write image to {path}: {exc}") from exc
 
 
+# one formatter per exact scalar type, each what json.dumps writes for it;
+# a float column must also be finite (json.dumps writes NaN and Infinity)
+_SCALAR_FORMATS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+
+
+def _scalars(values: list) -> list[str] | None:
+    """JSON text of each value, if all share one exact type in
+    ``_SCALAR_FORMATS`` (finite when float); otherwise None."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind not in _SCALAR_FORMATS or (kind is float and not all(map(math.isfinite, values))):
+        return None
+    return list(map(_SCALAR_FORMATS[kind], values))
+
+
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """``items`` one per line, two spaces in from ``indent``, inside ``brackets``."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
+def _rows(rows: list, indent: str) -> list[str] | None:
+    """JSON text of each row of a list of dicts that share one set of str
+    keys with scalar columns, one %-template per row; otherwise None."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = rows[0].keys()
+    if set(map(type, keys)) != {str} or not all(row.keys() == keys for row in rows):
+        return None
+    names = sorted(keys)
+    columns = [_scalars([row[name] for row in rows]) for name in names]
+    if any(column is None for column in columns):
+        return None
+    template = _block("{}", [f"{encode_basestring_ascii(name).replace('%', '%%')}: %s"
+                             for name in names], indent)
+    return [template % row for row in zip(*columns)]
+
+
+def _dumps(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, its lines after the
+    first indented by ``indent``."""
+    inner = indent + "  "
+    if type(value) is dict and set(map(type, value)) == {str}:  # {} has no key types
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
+                 for key in sorted(value)]
+        return _block("{}", items, indent)
+    if type(value) is list and value:
+        items = _rows(value, inner) or _scalars(value) or [_dumps(v, inner) for v in value]
+        return _block("[]", items, indent)
+    # everything else, through json.dumps; a JSON string never holds a raw
+    # newline, so each newline starts a line to indent
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def report_bytes(tool: str, config: dict, results) -> bytes:
-    """Serialize a report deterministically: sorted keys, no timestamps."""
+    """Serialize a report deterministically: sorted keys, no timestamps.
+    The bytes are ``json.dumps(document, sort_keys=True, indent=2) + "\\n"``."""
     document = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": tool,
         "config": config,
         "results": results,
     }
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_dumps(document, "") + "\n").encode("utf-8")
 
 
 def write_report(path, tool: str, config: dict, results) -> None:
@@ -191,9 +271,11 @@ def read_report(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read report from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(document, dict) or "schema_version" not in document:
         raise FormatError(f"{path}: missing schema_version")

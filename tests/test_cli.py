@@ -83,12 +83,20 @@ class TestExitCodes:
         [{"id": "a", "rank": 1, "score": "0.5"}],
         [{"id": "a", "rank": 1, "score": True}],
         {},
+        b'[{"id": "a", "rank": ' + b"9" * 5000 + b', "score": 0.5}]',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'[{"id": "\xff", "rank": 1, "score": 0.5}]',
     ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n",
             "repeated_rank", "nan_score", "repeated_id", "float_rank", "string_rank",
-            "bool_rank", "null_id", "int_id", "string_score", "bool_score", "entries_object"])
+            "bool_rank", "null_id", "int_id", "string_score", "bool_score", "entries_object",
+            "over_long_rank", "deep_nesting", "not_utf8"])
     def test_malformed_score_report_is_data_error(self, tmp_path, entries):
         scores = tmp_path / "s.json"
-        formats.write_report(scores, "score", {}, {"entries": entries})
+        if isinstance(entries, bytes):  # raw text that no report writer produces
+            scores.write_bytes(b'{"schema_version": 1, "tool": "score", "config": {}, '
+                               b'"results": {"entries": ' + entries + b"}}")
+        else:
+            formats.write_report(scores, "score", {}, {"entries": entries})
         assert run("filter", str(scores), "--n-prime", "1") == 2
 
     def test_non_finite_embedding_is_data_error(self, tmp_path):
@@ -98,6 +106,14 @@ class TestExitCodes:
         data[-4:] = np.array([np.inf], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
         assert run("hdh", str(path), str(path)) == 2
+
+    def test_zero_dim_embedding_is_data_error(self, tmp_path):
+        """Records of dimension 0 once gave hdh a d_hdh of 0.0 with exit 0."""
+        path = tmp_path / "flat.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<HII", 1, 2, 0)
+                         + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + b"b")
+        assert run("hdh", str(path), str(path)) == 2
+        assert run("score", str(path), str(path)) == 2
 
     def test_mismatched_image_sizes_is_usage_error(self, tmp_path):
         a = tmp_path / "a.ppm"
@@ -261,6 +277,37 @@ class TestDeterminism:
         twice("hdh", "hdh", str(emb), str(emb))
         twice("bound", "bound", "--d-hdh", "0", "--f-hat-t", "0", "--f-t-star", "0",
               "--f-s-star", "0", "--vc-dim", "1", "--n", "100", "--delta", "0.5")
+
+    def test_reports_equal_json_dumps_oracle(self, tmp_path):
+        """Every tool's report, on the acceptance-gate corpus, is exactly
+        json.dumps(sort_keys=True, indent=2) of its own content."""
+        corpus = make_corpus(tmp_path)
+        sources = sorted(str(p) for p in corpus.glob("src-*.ppm"))
+        targets = sorted(str(p) for p in corpus.glob("tgt-*.ppm"))
+        src, proxy, tgt = tmp_path / "src.emb", tmp_path / "proxy.emb", tmp_path / "tgt.emb"
+        assert run("embed", *sources, "--seed", "0", "--out", str(src)) == 0
+        assert run("embed", *sources, "--seed", "1", "--out", str(proxy)) == 0
+        assert run("embed", *targets, "--seed", "0", "--out", str(tgt)) == 0
+        scores = tmp_path / "score.json"
+        runs = {
+            "score": ["score", str(src), str(proxy)],
+            "filter": ["filter", str(scores), "--ratio", "0.5"],
+            "select": ["select", "--seed", "1", "--ratio", "0.5", "--k", "4",
+                       "--n-per-domain", "8", "--height", "16", "--width", "16"],
+            "cka": ["cka", *sources, "--stem", "ics", "--kinds", "brightness,contrast"],
+            "hdh": ["hdh", str(src), str(tgt)],
+            "bound": ["bound", "--d-hdh", "0.1", "--f-hat-t", "0.1", "--f-t-star", "0.1",
+                      "--f-s-star", "0.1", "--vc-dim", "2", "--n", "100", "--delta", "0.5"],
+            "check": ["check"],
+        }
+        reports = [corpus / "manifest.json"]
+        for name, argv in runs.items():
+            reports.append(tmp_path / f"{name}.json")
+            assert run(*argv, "--out", str(reports[-1])) == 0
+        for path in reports:
+            data = path.read_bytes()
+            oracle = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
+            assert data == oracle.encode("utf-8"), path.name
 
     def test_embedding_file_byte_identical(self, tmp_path):
         corpus = make_corpus(tmp_path)

@@ -1,11 +1,15 @@
 """Binary embedding files, PPM images, deterministic JSON reports."""
 
 import json
+import math
 import re
+import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfs_curate import formats
 from cfs_curate.embeddings import EmbeddingSet
@@ -43,6 +47,18 @@ class TestEmbeddingFile:
         formats.write_embeddings(EmbeddingSet([], np.zeros((0, 4))), path)
         loaded = formats.read_embeddings(path)
         assert loaded.ids == [] and loaded.features.shape == (0, 4)
+
+    def test_records_of_dimension_zero_rejected(self, tmp_path):
+        path = tmp_path / "flat.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<HII", 1, 1, 0) + struct.pack("<I", 1) + b"a")
+        with pytest.raises(FormatError, match="1 records of dimension 0"):
+            formats.read_embeddings(path)
+
+    def test_records_of_dimension_zero_refused_before_writing(self, tmp_path):
+        path = tmp_path / "flat.emb"
+        with pytest.raises(FormatError, match="2 records of dimension 0"):
+            formats.write_embeddings(EmbeddingSet(["a", "b"], np.zeros((2, 0))), path)
+        assert not path.exists()
 
     def test_unicode_ids(self, tmp_path):
         original = EmbeddingSet(["café", "日本"], np.eye(2, dtype=np.float32).astype(np.float64))
@@ -197,6 +213,18 @@ class TestPpm:
         with pytest.raises(FormatError, match="decimal digits"):
             formats.read_image_ppm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P6 " + b"9" * 5000 + b" 1 255\n", b"P6 1 1 " + b"1" * 4300 + b"\n",
+        b"P6 1 " + b"1" * 19 + b" 255\n",
+    ], ids=["width_over_int_limit", "maxval_at_int_limit", "height_19_digits"])
+    def test_over_long_header_number_rejected(self, tmp_path, header):
+        """int() refuses more than 4300 digits, and str() of a product or
+        an error message refuses as many; none is needed below 10**18."""
+        path = tmp_path / "n.ppm"
+        path.write_bytes(header + b"\x00" * 3)
+        with pytest.raises(FormatError, match="more than 18 digits"):
+            formats.read_image_ppm(path)
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(6, 4, 3))
@@ -251,3 +279,60 @@ class TestReports:
         path.write_text("not json{")
         with pytest.raises(FormatError):
             formats.read_report(path)
+
+
+# keys and strings with non-ASCII, control, quote, backslash and template characters
+TEXT = st.text(st.sampled_from('az\u00e9\u65e5\U0001f600\x00\x1f\x7f"\\/%s\n\t '), max_size=4)
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf,
+                                                   -math.inf]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+                    FLOATS.map(np.float64))
+
+
+@st.composite
+def row_lists(draw, values):
+    """Lists of dicts: shared key sets of scalar columns, mixed-type columns,
+    ragged rows and nested values."""
+    names = draw(st.lists(TEXT, max_size=4, unique=True))
+    kinds = [TEXT, st.integers(), st.floats(allow_nan=False, allow_infinity=False), FLOATS,
+             SCALARS, values]
+    columns = {name: draw(st.sampled_from(kinds)) for name in names}
+    rows = [{name: draw(column) for name, column in columns.items()}
+            for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.integers(0, 2)) == 0:  # ragged: one row loses a key or gains one
+        row = draw(st.sampled_from(rows))
+        if row and draw(st.booleans()):
+            del row[draw(st.sampled_from(sorted(row)))]
+        else:
+            row[draw(TEXT)] = draw(SCALARS)
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.tuples(children, children),
+        row_lists(children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.dictionaries(TEXT, JSON_VALUES, max_size=3), results=JSON_VALUES)
+    def test_bytes_equal_json_dumps_oracle(self, config, results):
+        document = {"schema_version": formats.REPORT_SCHEMA_VERSION, "tool": "t",
+                    "config": config, "results": results}
+        oracle = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert formats.report_bytes("t", config, results) == oracle.encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=row_lists(SCALARS))
+    def test_row_lists_equal_json_dumps_oracle(self, rows):
+        oracle = json.dumps({"config": {}, "results": {"entries": rows}, "schema_version": 1,
+                             "tool": "t"}, sort_keys=True, indent=2) + "\n"
+        assert formats.report_bytes("t", {}, {"entries": rows}) == oracle.encode("utf-8")

@@ -175,8 +175,9 @@ def _cmd_select(args) -> int:
     ]
     reports = compare_on_synth_corpus(corpus, configs, proxy_seed=args.seed)
     config.update(ratio=args.ratio, k=args.k)
-    results = [
-        {
+    results = []
+    for r in reports:
+        row = {
             "strategy": r.strategy,
             "mean_cfs": r.mean_cfs,
             "mean_nearest_target_cosine": r.mean_nearest_target_cosine,
@@ -184,8 +185,10 @@ def _cmd_select(args) -> int:
             "delta_nearest_target": r.delta_nearest_target,
             "selected_ids": r.selected_ids,
         }
-        for r in reports
-    ]
+        if r.strategy == "cluster":
+            row.update(kmeans_iterations=r.kmeans_iterations,
+                       kmeans_objective=r.kmeans_objective)
+        results.append(row)
     _emit_report(args, "select", config, {"strategies": results})
     return 0
 

@@ -59,7 +59,11 @@ def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
     blob += EMB_MAGIC
     blob += _HEADER.pack(EMB_VERSION, len(embedding_set), embedding_set.dim)
     for record_id in embedding_set.ids:
-        data = record_id.encode("utf-8")
+        try:
+            data = record_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"cannot write embeddings to {path}: "
+                              f"id {record_id!r} is not valid UTF-8") from exc
         blob += _ID_LENGTH.pack(len(data))
         blob += data
     blob += features.tobytes(order="C")

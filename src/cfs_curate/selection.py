@@ -19,6 +19,8 @@ from .embeddings import EmbeddingSet
 from .errors import DegenerateFeatureError, RangeError
 
 STRATEGIES = ("random", "cluster", "cfs")
+# feature rows per cosine block in _max_cosine_to_rows
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,9 @@ class SelectionReport:
     # None when the comparison ran without a random baseline
     delta_mean_cfs: float | None = None
     delta_nearest_target: float | None = None
+    # cluster strategy only: Lloyd rounds run and the last round's objective
+    kmeans_iterations: int | None = None
+    kmeans_objective: float | None = None
 
 
 def select_random(ids, ratio: float, seed: int) -> list[str]:
@@ -70,9 +75,19 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e
     """Lloyd's algorithm from a seeded D^2-weighted initialization.
 
     Stops when the largest center shift drops below ``tol`` or after
-    ``max_iter`` rounds. Clusters that lose all members keep their
-    previous center. If ``history`` is given, the assignment objective is
-    appended each round; the sequence is non-increasing.
+    ``max_iter`` rounds. If ``history`` is given, the assignment objective
+    (summed squared distance of each point to its assigned center) is
+    appended each round.
+
+    Each round takes O(N*k) memory. A point goes to the center of least
+    GEMM-form distance ||x||^2 - 2 x.c + ||c||^2, the lowest center index
+    on an exact tie of that value. The form rounds differently from the
+    direct sum of (x - c)^2, so a point on an exact or near tie of true
+    distances (duplicate centers, lattice data) may go to either of the
+    tied centers; the objective is still computed directly, and is
+    non-increasing up to rounding. A center is the mean of its members,
+    summed in index order; a cluster that loses all members keeps its
+    previous center.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -94,16 +109,22 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e
         centers[j] = x[idx]
         closest = np.minimum(closest, ((x - centers[j]) ** 2).sum(axis=1))
 
+    x_sq = (x * x).sum(axis=1)[:, None]
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        d2 = x @ centers.T
+        d2 *= -2.0
+        d2 += x_sq
+        d2 += (centers * centers).sum(axis=1)
         assign = d2.argmin(axis=1)
+        del d2
         if history is not None:
-            history.append(float(d2[np.arange(n), assign].sum()))
+            history.append(float(((x - centers[assign]) ** 2).sum(axis=-1).sum()))
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, x)
+        counts = np.bincount(assign, minlength=k)
+        kept = counts > 0
         new_centers = centers.copy()
-        for j in range(k):
-            members = x[assign == j]
-            if len(members):
-                new_centers[j] = members.mean(axis=0)
+        new_centers[kept] = sums[kept] / counts[kept, None]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         if shift < tol:
@@ -112,23 +133,33 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e
 
 
 def _max_cosine_to_rows(features: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    """Per-feature max cosine similarity against any of ``rows``."""
+    """Per-feature max cosine similarity against any of ``rows``.
+
+    Features are taken ``BLOCK_ROWS`` at a time, so memory is
+    O(BLOCK_ROWS * M) for M rows rather than a whole N x M matrix.
+    """
     f_norms = np.linalg.norm(features, axis=1)
     r_norms = np.linalg.norm(rows, axis=1)
     if (f_norms == 0).any() or (r_norms == 0).any():
         raise DegenerateFeatureError(f"zero-norm vector in {what}")
-    sims = (features @ rows.T) / np.outer(f_norms, r_norms)
-    return sims.max(axis=1)
+    best = np.empty(len(features))
+    for start in range(0, len(features), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        sims = features[block] @ rows.T
+        sims /= np.outer(f_norms[block], r_norms)
+        best[block] = sims.max(axis=1)
+    return best
 
 
 def select_cluster(source: EmbeddingSet, target: EmbeddingSet, k: int, ratio: float,
-                   seed: int) -> list[str]:
+                   seed: int, history: list | None = None) -> list[str]:
     """Rank source records by max cosine to any target cluster center.
 
     Each record is scored once, by its best center; ties break by
-    ascending original index, as in score-table ranking.
+    ascending original index, as in score-table ranking. ``history`` is
+    passed to :func:`kmeans_fit`.
     """
-    centers = kmeans_fit(target.features, k=k, seed=seed)
+    centers = kmeans_fit(target.features, k=k, seed=seed, history=history)
     sims = _max_cosine_to_rows(source.features, centers, "cluster scoring")
     count = cfs.count_for_ratio(len(source), ratio)
     order = np.argsort(-sims, kind="stable")
@@ -153,11 +184,12 @@ def compare_strategies(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: Embed
 
     reports = []
     for config in configs:
+        history = []
         if config.strategy == "random":
             selected = select_random(source_by_proxy_s.ids, config.ratio, config.seed)
         elif config.strategy == "cluster":
             selected = select_cluster(
-                source_by_proxy_s, target, config.k, config.ratio, config.seed
+                source_by_proxy_s, target, config.k, config.ratio, config.seed, history
             )
         else:
             n_prime = cfs.count_for_ratio(len(source_by_proxy_s), config.ratio)
@@ -167,6 +199,8 @@ def compare_strategies(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: Embed
             selected_ids=list(selected),
             mean_cfs=float(np.mean([score_by_id[i] for i in selected])),
             mean_nearest_target_cosine=float(np.mean([nearest_by_id[i] for i in selected])),
+            kmeans_iterations=len(history) if history else None,
+            kmeans_objective=history[-1] if history else None,
         ))
 
     baseline = next((r for r in reports if r.strategy == "random"), None)

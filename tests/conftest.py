@@ -3,6 +3,7 @@
 import numpy as np
 
 from cfs_curate import encoder, ops, stems
+from cfs_curate.errors import RangeError
 
 
 def relu_margin(stem_cache) -> float:
@@ -70,3 +71,45 @@ def add_at_conv2d_backward(grad_out, x, kernel, stride=1, pad=0):
     np.add.at(dxp, (slice(None), chan, rows, colidx), dcols)
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
     return dx, dkernel, dbias
+
+
+def loop_kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6,
+                    history: list | None = None) -> np.ndarray:
+    """selection.kmeans_fit as computed before GEMM-form Lloyd rounds: an
+    N x k x d difference tensor per round and one masked mean per cluster.
+    Reference for bitwise equality."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise RangeError(f"features must be a nonempty N x d matrix, got {x.shape}")
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise RangeError(f"k must be in [1, {n}], got {k}")
+
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    closest = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = rng.choice(n, p=closest / total)
+        else:  # remaining points coincide with chosen centers
+            idx = rng.integers(n)
+        centers[j] = x[idx]
+        closest = np.minimum(closest, ((x - centers[j]) ** 2).sum(axis=1))
+
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        assign = d2.argmin(axis=1)
+        if history is not None:
+            history.append(float(d2[np.arange(n), assign].sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            members = x[assign == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers

@@ -115,6 +115,15 @@ class TestExitCodes:
         assert run("hdh", str(path), str(path)) == 2
         assert run("score", str(path), str(path)) == 2
 
+    def test_non_utf8_image_name_is_data_error(self, tmp_path):
+        """A file name that is not UTF-8 gives an id that EMB1 cannot hold;
+        it once escaped write_embeddings as a UnicodeEncodeError, exit 1."""
+        image = tmp_path / "\udcff.ppm"  # the file name is the bytes b"\xff.ppm"
+        formats.write_image_ppm(np.zeros((16, 16, 3)), image)
+        emb = tmp_path / "e.emb"
+        assert run("embed", str(image), "--out", str(emb)) == 2
+        assert not emb.exists()
+
     def test_mismatched_image_sizes_is_usage_error(self, tmp_path):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"
@@ -193,6 +202,19 @@ class TestPipeline:
         assert strategies == ["random", "cluster", "cfs"]
         for row in doc["results"]["strategies"]:
             assert len(row["selected_ids"]) == 4
+
+    def test_select_cluster_row_reports_kmeans_run(self, tmp_path):
+        out = tmp_path / "sel.json"
+        assert run("select", "--seed", "3", "--ratio", "0.5", "--k", "4",
+                   "--n-per-domain", "8", "--height", "16", "--width", "16",
+                   "--out", str(out)) == 0
+        rows = {r["strategy"]: r for r in formats.read_report(out)["results"]["strategies"]}
+        cluster = rows["cluster"]
+        assert type(cluster["kmeans_iterations"]) is int and cluster["kmeans_iterations"] >= 1
+        assert type(cluster["kmeans_objective"]) is float and cluster["kmeans_objective"] >= 0
+        for name in ("random", "cfs"):
+            assert "kmeans_iterations" not in rows[name]
+            assert "kmeans_objective" not in rows[name]
 
     def test_cka_report_rows(self, tmp_path):
         corpus = make_corpus(tmp_path)

@@ -1,7 +1,10 @@
 """Selection strategies: random, cluster-similarity, score-ranked."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import loop_kmeans_fit
 
 from cfs_curate import cfs, selection
 from cfs_curate.embeddings import EmbeddingSet
@@ -11,6 +14,38 @@ from cfs_curate.errors import DegenerateFeatureError, RangeError
 def unit_rows(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def unblocked_max_cosine(features, rows):
+    """_max_cosine_to_rows as one N x M similarity matrix."""
+    sims = (features @ rows.T) / np.outer(np.linalg.norm(features, axis=1),
+                                          np.linalg.norm(rows, axis=1))
+    return sims.max(axis=1)
+
+
+def oracle_shapes():
+    """Seeded float32-stored inputs for the loop oracle: blobs and plain
+    normals, d from 1 to 23, with k = 1, k = n and k in between."""
+    rng = np.random.default_rng(20)
+    for case in range(120):
+        n = int(rng.integers(1, 200))
+        d = int(rng.integers(1, 24))
+        k = (1, n, int(rng.integers(1, min(n, 20) + 1)))[case % 3]
+        if case % 2:
+            blobs = rng.normal(size=(k, d)) * 3
+            x = blobs[rng.integers(k, size=n)] + rng.normal(size=(n, d))
+        else:
+            x = rng.normal(size=(n, d))
+        yield x.astype(np.float32).astype(np.float64), k, case
 
 
 class TestSelectionConfig:
@@ -102,12 +137,103 @@ class TestKmeans:
         with pytest.raises(RangeError):
             selection.kmeans_fit(x, k=4, seed=0)
 
+    def test_bitwise_equal_to_loop_oracle(self):
+        """On continuous data GEMM-form rounds pick the same assignments as
+        the N x k x d difference tensor, and index-order center sums equal
+        the per-cluster means, sign bits included."""
+        for x, k, seed in oracle_shapes():
+            got_history, want_history = [], []
+            got = selection.kmeans_fit(x, k, seed, history=got_history)
+            want = loop_kmeans_fit(x, k, seed, history=want_history)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x.shape, k)
+            assert got_history == want_history, (x.shape, k)
+
+    def test_empty_cluster_keeps_center_as_loop_oracle(self):
+        """Two seeded centers on one point: the higher-indexed one gets no
+        members in round one and keeps its previous center."""
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, -0.0]])
+        for seed in range(8):
+            history = []
+            got = selection.kmeans_fit(x, 3, seed, history=history)
+            want = loop_kmeans_fit(x, 3, seed)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert len(np.unique(got, axis=0)) == 2  # a kept duplicate
+            assert history == [0.0]
+
+    def test_tie_rule_on_lattice_duplicates(self):
+        """Lattice points with many duplicates put points on exact ties of
+        true distance, which GEMM-form distances may split either way.
+        Each round, every point goes to a nearest center (up to rounding),
+        the objective is non-increasing (relative 1e-12), and every center
+        is the mean of its members (relative 1e-12) or, with no members,
+        its previous center bitwise."""
+        rng = np.random.default_rng(21)
+        split_ties = 0
+        for seed in range(40):
+            n = int(rng.integers(10, 80))
+            d = int(rng.integers(1, 5))
+            k = int(rng.integers(2, 12))
+            x = rng.integers(-2, 3, size=(n, d)) * 0.1
+            history = []
+            selection.kmeans_fit(x, k, seed, history=history)
+            assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
+            prev = selection.kmeans_fit(x, k, seed, max_iter=0)
+            for rounds in range(1, len(history) + 1):
+                cur = selection.kmeans_fit(x, k, seed, max_iter=rounds)
+                true_d2 = ((x[:, None, :] - prev[None, :, :]) ** 2).sum(axis=-1)
+                gemm_d2 = (x * x).sum(axis=1)[:, None] - 2 * (x @ prev.T) + (prev * prev).sum(axis=1)
+                assign = gemm_d2.argmin(axis=1)
+                chosen = true_d2[np.arange(n), assign]
+                assert (chosen <= true_d2.min(axis=1) * (1 + 1e-12) + 1e-15).all()
+                assert history[rounds - 1] == float(chosen.sum())
+                split_ties += int((assign != true_d2.argmin(axis=1)).sum())
+                for j in range(k):
+                    members = x[assign == j]
+                    if len(members):
+                        np.testing.assert_allclose(cur[j], members.mean(axis=0),
+                                                   rtol=1e-12, atol=1e-15)
+                    else:
+                        assert np.array_equal(cur[j].view(np.int64), prev[j].view(np.int64))
+                prev = cur
+        assert split_ties > 0  # the corpus does exercise ties
+
+    def test_peak_memory_is_order_n_k(self):
+        """No N x k x d temporary: 65 MB at this size."""
+        rng = np.random.default_rng(22)
+        n, d, k = 4000, 32, 64
+        x = rng.normal(size=(n, d))
+        peak = traced_peak(lambda: selection.kmeans_fit(x, k, seed=0, max_iter=3))
+        assert peak <= 2 * n * k * 8, f"peak {peak / (n * k * 8):.2f} N*k float64"
+
     def test_objective_value(self):
         """The objective kmeans_fit records is the summed squared distance
         to the assigned center: 1 + 1 for one center between two points."""
         history = []
         selection.kmeans_fit(np.array([[0.0], [2.0]]), k=1, seed=0, history=history)
         assert history[-1] == 2.0
+
+
+class TestMaxCosine:
+    @pytest.mark.parametrize("n, m", [
+        (1, 7), (255, 3), (256, 40), (257, 40), (700, 129), (1025, 64),
+    ])
+    def test_blocks_match_unblocked_oracle(self, n, m):
+        """Row blocks change the GEMM's rounding at most by ulps; the
+        tolerance is absolute 1e-12 on cosines."""
+        rng = np.random.default_rng(n + m)
+        features = rng.normal(size=(n, 16)) * rng.uniform(0.1, 10, size=(n, 1))
+        rows = rng.normal(size=(m, 16))
+        got = selection._max_cosine_to_rows(features, rows, "test")
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, unblocked_max_cosine(features, rows), rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_one_block(self):
+        """3000 x 2400: three whole similarity matrices would be 170 MB."""
+        rng = np.random.default_rng(23)
+        features = rng.normal(size=(3000, 32))
+        rows = rng.normal(size=(2400, 32))
+        peak = traced_peak(lambda: selection._max_cosine_to_rows(features, rows, "test"))
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestSelectCluster:
@@ -139,6 +265,16 @@ class TestSelectCluster:
         target = EmbeddingSet([f"t{k}" for k in range(4)], unit_rows(rng, 4, 3))
         picked = selection.select_cluster(source, target, k=2, ratio=1.0, seed=0)
         assert sorted(picked) == source.ids
+
+    @pytest.mark.parametrize("n, d, k", [(40, 8, 4), (700, 16, 9), (1000, 32, 64)])
+    def test_ranks_as_unblocked_oracle(self, n, d, k):
+        rng = np.random.default_rng(n)
+        source = EmbeddingSet([f"s{i}" for i in range(n)], unit_rows(rng, n, d))
+        target = EmbeddingSet([f"t{i}" for i in range(3 * k)], unit_rows(rng, 3 * k, d))
+        centers = selection.kmeans_fit(target.features, k=k, seed=5)
+        order = np.argsort(-unblocked_max_cosine(source.features, centers), kind="stable")
+        picked = selection.select_cluster(source, target, k=k, ratio=1.0, seed=5)
+        assert picked == [source.ids[i] for i in order]
 
     def test_zero_norm_rejected(self):
         source = EmbeddingSet(["a"], np.array([[1.0, 0.0]]))
@@ -194,6 +330,18 @@ class TestCompareStrategies:
             by_strategy["cfs"].mean_cfs - by_strategy["random"].mean_cfs,
             rtol=0, atol=0,
         )
+
+    def test_cluster_report_carries_kmeans_history(self):
+        by_s, by_t, target = self.sets()
+        reports = selection.compare_strategies(by_s, by_t, target, self.configs(0.5))
+        history = []
+        selection.kmeans_fit(target.features, k=4, seed=3, history=history)
+        by_strategy = {r.strategy: r for r in reports}
+        assert by_strategy["cluster"].kmeans_iterations == len(history)
+        assert by_strategy["cluster"].kmeans_objective == history[-1]
+        for other in ("random", "cfs"):
+            assert by_strategy[other].kmeans_iterations is None
+            assert by_strategy[other].kmeans_objective is None
 
     def test_no_random_baseline_leaves_deltas_unset(self):
         by_s, by_t, target = self.sets()

@@ -236,12 +236,16 @@ def _cmd_augment(args) -> int:
     magnitude = args.magnitude
     if magnitude is None:
         magnitude = DEFAULT_MAGNITUDES[args.kind]
-    image = read_image_ppm(args.image)
-    write_image_ppm(augment(image, AugmentationSpec(args.kind, magnitude)), args.out)
+    spec = AugmentationSpec(args.kind, magnitude)
+    write_image_ppm(augment(read_image_ppm(args.image), spec), args.out)
     return 0
 
 
 def _cmd_hdh(args) -> int:
+    # with no threshold per dimension only the two constant stumps remain,
+    # and their d_hdh is 0 whatever the samples
+    if args.max_thresholds < 1:
+        raise RangeError(f"--max-thresholds must be >= 1, got {args.max_thresholds}")
     u1 = read_embeddings(args.samples1).features
     u2 = read_embeddings(args.samples2).features
     if u1.shape[0] == 0 or u2.shape[0] == 0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -42,6 +43,11 @@ _ID_LENGTH = struct.Struct("<I")
 # no P6 payload of 10**18 or more bytes fits in a file, so a longer header
 # number is malformed (and int() refuses more than 4300 digits)
 _PPM_MAX_DIGITS = 18
+
+# one PPM header token after any whitespace and # comments; a comment runs to
+# the next newline or the end of the data, and the lookahead keeps
+# backtracking from ending it early, so its tail is never read as a token
+_PPM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*([^ \t\r\n#]+)")
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -129,24 +135,16 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def _ppm_tokens(data: bytes, path: Path):
-    """Yield header tokens, skipping whitespace and # comments; then report
-    the payload offset."""
+    """Read the four header tokens, skipping whitespace and # comments; then
+    report the payload offset."""
     pos = 0
     tokens = []
-    while len(tokens) < 4:
-        if pos >= len(data):
+    for _ in range(4):
+        match = _PPM_TOKEN.match(data, pos)
+        if match is None:
             raise FormatError(f"{path}: truncated header")
-        byte = data[pos:pos + 1]
-        if byte in b" \t\r\n":
-            pos += 1
-        elif byte == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and data[pos:pos + 1] not in b" \t\r\n#":
-                pos += 1
-            tokens.append(data[start:pos])
+        tokens.append(match.group(1))
+        pos = match.end()
     # exactly one whitespace byte separates maxval from the payload
     if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
         raise FormatError(f"{path}: missing whitespace before payload")

@@ -8,6 +8,7 @@ invariance report is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in AUGMENTATION_KINDS:
             raise RangeError(f"unknown augmentation kind {self.kind!r}")
+        if not math.isfinite(self.magnitude):
+            raise RangeError(f"{self.kind} magnitude must be finite, got {self.magnitude}")
         if self.kind in ("crop", "scale") and not 0 <= self.magnitude < 1:
             raise RangeError(
                 f"{self.kind} magnitude must be in [0, 1), got {self.magnitude}"

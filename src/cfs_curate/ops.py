@@ -205,7 +205,8 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "gelu":
-        inner = GELU_C * (x + GELU_A * x**3)
+        # the cube as x * x * x: NumPy computes x**3 with the general float power
+        inner = GELU_C * (x + GELU_A * (x * x * x))
         return 0.5 * x * (1.0 + np.tanh(inner))
     raise RangeError(f"unknown activation kind {kind!r}")
 
@@ -214,7 +215,7 @@ def activation_backward(grad_out: np.ndarray, x: np.ndarray, kind: str) -> np.nd
     if kind == "relu":
         return grad_out * (x > 0.0)
     if kind == "gelu":
-        t = np.tanh(GELU_C * (x + GELU_A * x**3))
+        t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x**2)
         return grad_out * local
     raise RangeError(f"unknown activation kind {kind!r}")

@@ -10,6 +10,7 @@ the low-quality, heavily biased tail of a web-scraped corpus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,10 @@ class ShiftSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("brightness_offset", "hue_rotation", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise RangeError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise RangeError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cfs_curate import encoder, ops, stems
-from cfs_curate.errors import RangeError
+from cfs_curate.errors import FormatError, RangeError
 
 
 def relu_margin(stem_cache) -> float:
@@ -113,3 +113,28 @@ def loop_kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float
         if shift < tol:
             break
     return centers
+
+
+def loop_ppm_tokens(data: bytes, path):
+    """formats._ppm_tokens as computed before the one-regex token match: a
+    byte-by-byte loop. Reference for equal tokens, offsets and messages."""
+    pos = 0
+    tokens = []
+    while len(tokens) < 4:
+        if pos >= len(data):
+            raise FormatError(f"{path}: truncated header")
+        byte = data[pos:pos + 1]
+        if byte in b" \t\r\n":
+            pos += 1
+        elif byte == b"#":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
+                pos += 1
+        else:
+            start = pos
+            while pos < len(data) and data[pos:pos + 1] not in b" \t\r\n#":
+                pos += 1
+            tokens.append(data[start:pos])
+    # exactly one whitespace byte separates maxval from the payload
+    if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
+        raise FormatError(f"{path}: missing whitespace before payload")
+    return tokens, pos + 1

@@ -131,6 +131,43 @@ class TestExitCodes:
         formats.write_image_ppm(np.zeros((8, 8, 3)), b)
         assert run("embed", str(a), str(b), "--out", str(tmp_path / "e.emb")) == 1
 
+    def test_zero_max_thresholds_is_usage_error(self, tmp_path, capsys):
+        """With no thresholds only the two constant stumps remain, and hdh
+        once answered d_hdh 0.0 with exit 0 whatever the samples."""
+        lo = EmbeddingSet(["a", "b"], np.array([[0.0], [0.1]]))
+        hi = EmbeddingSet(["c", "d"], np.array([[0.9], [1.0]]))
+        p1 = tmp_path / "lo.emb"
+        p2 = tmp_path / "hi.emb"
+        formats.write_embeddings(lo, p1)
+        formats.write_embeddings(hi, p2)
+        out = tmp_path / "hdh.json"
+        assert run("hdh", str(p1), str(p2), "--max-thresholds", "0", "--out", str(out)) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--brightness", "brightness_offset"), ("--hue", "hue_rotation"),
+        ("--noise", "noise_sigma"),
+    ])
+    def test_non_finite_synth_shift_is_usage_error(self, tmp_path, capsys, flag, field):
+        """A NaN brightness once wrote the source images, then failed in
+        the writer on the shifted target."""
+        out = tmp_path / "corpus"
+        assert run("synth", "--n-per-domain", "2", "--height", "8", "--width", "8",
+                   flag, "nan", "--out", str(out)) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["brightness", "contrast", "saturation", "flip"])
+    def test_non_finite_augment_magnitude_is_usage_error(self, tmp_path, capsys, kind):
+        source = tmp_path / "in.ppm"
+        formats.write_image_ppm(np.full((4, 4, 3), 0.5), source)
+        out = tmp_path / "out.ppm"
+        assert run("augment", str(source), "--kind", kind, "--magnitude", "nan",
+                   "--out", str(out)) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_collapsing_stem_configuration_is_usage_error(self, tmp_path):
         """conv at 16x16 and stride 16 would embed every image identically."""
         corpus = make_corpus(tmp_path)

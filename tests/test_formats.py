@@ -8,12 +8,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfs_curate import formats
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import FormatError
+
+from conftest import loop_ppm_tokens
 
 
 def sample_set(seed=0, n=5, d=3):
@@ -224,6 +226,33 @@ class TestPpm:
         path.write_bytes(header + b"\x00" * 3)
         with pytest.raises(FormatError, match="more than 18 digits"):
             formats.read_image_ppm(path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=40),
+        # header-shaped bytes: the pieces the token reader tells apart
+        st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"#", b"\0", b"P6", b"12",
+                                  b"255", b"x", b"# c\n", b"\xff"]), max_size=24).map(b"".join),
+    ))
+    @example(data=b"P6 1 1 # 255")
+    @example(data=b"P6 1 1 255 # no newline at the end")
+    @example(data=b"P6#a\n1#b\n1#\n255#")
+    @example(data=b"P6\r\n\x001 1 255\r\x00")
+    @example(data=b"# only a comment")
+    @example(data=b"")
+    def test_header_tokens_match_loop_oracle(self, data):
+        try:
+            expected = loop_ppm_tokens(data, "h.ppm")
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                formats._ppm_tokens(data, "h.ppm")
+            assert str(info.value) == str(exc)
+        else:
+            assert formats._ppm_tokens(data, "h.ppm") == expected
+
+    def test_comment_tail_is_not_a_token(self):
+        with pytest.raises(FormatError, match="truncated header"):
+            formats._ppm_tokens(b"P6 1 1 # 255", "h.ppm")
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -35,6 +35,12 @@ class TestAugmentationSpec:
             with pytest.raises(RangeError):
                 invariance.AugmentationSpec(kind, -0.1)
 
+    @pytest.mark.parametrize("kind", invariance.AUGMENTATION_KINDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_magnitude_rejected(self, kind, value):
+        with pytest.raises(RangeError, match="must be finite"):
+            invariance.AugmentationSpec(kind, value)
+
     def test_default_specs_cover_all_kinds_in_order(self):
         specs = invariance.default_specs()
         assert [s.kind for s in specs] == list(invariance.AUGMENTATION_KINDS)

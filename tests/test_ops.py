@@ -208,6 +208,29 @@ class TestActivations:
         fd = ops.fd_gradient(lambda m: float(np.sum(ops.activation(m, "gelu") * w)), x)
         assert ops.max_relative_error(dx, fd) < 1e-5
 
+    def test_gelu_within_bound_of_pow_cube(self):
+        """The cube is x * x * x; with the x**3 form every forward and
+        backward value stays within 1e-15 * max(1, |x|), and the non-finite
+        ones (inf, NaN, a cube that overflows) are the same."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = np.concatenate([
+            rng.uniform(-1e3, 1e3, 20_000), rng.normal(0.0, 3.0, 20_000),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e103, -1e103],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.tanh(ops.GELU_C * (x + ops.GELU_A * x**3))
+            oracle_fwd = 0.5 * x * (1.0 + t)
+            oracle_bwd = (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * ops.GELU_C
+                          * (1.0 + 3.0 * ops.GELU_A * x**2))
+            fwd = ops.activation(x, "gelu")
+            bwd = ops.activation_backward(np.ones_like(x), x, "gelu")
+        bound = 1e-15 * np.maximum(1.0, np.abs(x))
+        for got, want in ((fwd, oracle_fwd), (bwd, oracle_bwd)):
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(got[~finite], want[~finite])
+            assert np.all(np.abs(got[finite] - want[finite]) <= bound[finite])
+        assert np.isnan(fwd[-3]) and fwd[-5] == np.inf and fwd[-2] == 1e103
+
     def test_relu_gradient_away_from_kink(self):
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(4, 7))

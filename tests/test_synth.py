@@ -35,6 +35,12 @@ class TestShiftSpec:
         with pytest.raises(RangeError):
             synth.ShiftSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["brightness_offset", "hue_rotation", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(RangeError, match=f"{field} must be finite"):
+            synth.ShiftSpec(**{field: value})
+
     def test_defaults_are_zero(self):
         spec = synth.ShiftSpec()
         assert (spec.brightness_offset, spec.hue_rotation, spec.noise_sigma) == (0, 0, 0)

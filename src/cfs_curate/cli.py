@@ -2,10 +2,11 @@
 
 Subcommands: embed, score, filter, select, cka, augment, hdh, bound,
 synth, check. Reports are deterministic JSON (sorted keys, no
-timestamps) and embed the resolved configuration, so a re-run with the
-same flags and inputs is byte-identical. Exit codes: 0 success, 1 usage
-error (bad flags or values), 2 data or format error (unreadable or
-malformed input files, failed self-checks).
+timestamps) and embed their configuration: the parsed flags, with the
+values a command resolves itself (``cka``'s kinds, ``check``'s probe
+seed), so a re-run with the same flags and inputs is byte-identical.
+Exit codes: 0 success, 1 usage error (bad flags or values), 2 data or
+format error (unreadable or malformed input files, failed self-checks).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import cfs, divergence, ops, selection, stems
 from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
-from .errors import FormatError, RangeError
+from .errors import DimensionError, FormatError, RangeError
 from .formats import (
     read_embeddings,
     read_image_ppm,
@@ -56,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _report_config(args, **resolved) -> dict:
+    """The parsed flags, less the command, its handler and the output path,
+    with ``resolved`` in place of flags the command resolves itself."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    return {**config, **resolved}
 
 
 def _emit_report(args, tool: str, config: dict, results) -> None:
@@ -122,8 +130,7 @@ def _cmd_score(args) -> int:
     by_source = read_embeddings(args.by_source)
     by_target = read_embeddings(args.by_target)
     table = cfs.score_corpus(by_source, by_target)
-    config = {"by_source": str(args.by_source), "by_target": str(args.by_target)}
-    _emit_report(args, "score", config, {"entries": _table_entries(table)})
+    _emit_report(args, "score", _report_config(args), {"entries": _table_entries(table)})
     return 0
 
 
@@ -134,47 +141,30 @@ def _cmd_filter(args) -> int:
     else:
         n_prime = cfs.count_for_ratio(len(table), args.ratio)
     selected = cfs.filter_top(table, n_prime)
-    config = {
-        "scores": str(args.scores),
-        "ratio": args.ratio,
-        "n_prime": args.n_prime,
-    }
-    _emit_report(args, "filter", config,
+    _emit_report(args, "filter", _report_config(args),
                  {"n_prime": n_prime, "selected_ids": selected})
     return 0
 
 
 def _synth_from_args(args):
-    """The synthetic corpus the corpus flags describe, and its report config."""
+    """The synthetic corpus the corpus flags describe."""
     shift = ShiftSpec(
         brightness_offset=args.brightness,
         hue_rotation=args.hue,
         noise_sigma=args.noise,
     )
-    corpus = synth_corpus(args.seed, args.n_per_domain, args.height, args.width,
-                          shift, extreme_fraction=args.extreme_fraction)
-    config = {
-        "seed": args.seed,
-        "n_per_domain": args.n_per_domain,
-        "height": args.height,
-        "width": args.width,
-        "brightness": args.brightness,
-        "hue": args.hue,
-        "noise": args.noise,
-        "extreme_fraction": args.extreme_fraction,
-    }
-    return corpus, config
+    return synth_corpus(args.seed, args.n_per_domain, args.height, args.width,
+                        shift, extreme_fraction=args.extreme_fraction)
 
 
 def _cmd_select(args) -> int:
-    corpus, config = _synth_from_args(args)
+    corpus = _synth_from_args(args)
     configs = [
         selection.SelectionConfig("random", args.ratio, seed=args.seed),
         selection.SelectionConfig("cluster", args.ratio, seed=args.seed, k=args.k),
         selection.SelectionConfig("cfs", args.ratio),
     ]
     reports = compare_on_synth_corpus(corpus, configs, proxy_seed=args.seed)
-    config.update(ratio=args.ratio, k=args.k)
     results = []
     for r in reports:
         row = {
@@ -189,7 +179,7 @@ def _cmd_select(args) -> int:
             row.update(kmeans_iterations=r.kmeans_iterations,
                        kmeans_objective=r.kmeans_objective)
         results.append(row)
-    _emit_report(args, "select", config, {"strategies": results})
+    _emit_report(args, "select", _report_config(args), {"strategies": results})
     return 0
 
 
@@ -214,12 +204,6 @@ def _cmd_cka(args) -> int:
         model_id=f"{args.stem}:{args.seed}",
         corpus_id=f"{len(ids)} images",
     )
-    config = {
-        "seed": args.seed,
-        "stem": args.stem,
-        "images": [str(p) for p in args.images],
-        "kinds": [s.kind for s in specs],
-    }
     results = {
         "model_id": report.model_id,
         "corpus_id": report.corpus_id,
@@ -228,7 +212,7 @@ def _cmd_cka(args) -> int:
             for e in report.entries
         ],
     }
-    _emit_report(args, "cka", config, results)
+    _emit_report(args, "cka", _report_config(args, kinds=[s.kind for s in specs]), results)
     return 0
 
 
@@ -250,37 +234,21 @@ def _cmd_hdh(args) -> int:
     u2 = read_embeddings(args.samples2).features
     if u1.shape[0] == 0 or u2.shape[0] == 0:
         raise RangeError("sample sets must be nonempty")
+    if u1.shape[1] != u2.shape[1]:
+        raise DimensionError(f"feature dims differ: {u1.shape[1]} vs {u2.shape[1]}")
     klass = divergence.build_stumps(
         np.vstack([u1, u2]), max_thresholds_per_dim=args.max_thresholds
     )
     value = divergence.hdh_empirical(u1, u2, klass)
-    config = {
-        "samples1": str(args.samples1),
-        "samples2": str(args.samples2),
-        "max_thresholds": args.max_thresholds,
-    }
-    _emit_report(args, "hdh", config,
+    _emit_report(args, "hdh", _report_config(args),
                  {"d_hdh": value, "hypothesis_count": len(klass)})
     return 0
 
 
 def _cmd_bound(args) -> int:
-    inputs = divergence.BoundInputs(
-        d_hdh=args.d_hdh,
-        f_hat_t=args.f_hat_t,
-        f_t_star=args.f_t_star,
-        f_s_star=args.f_s_star,
-        vc_dim=args.vc_dim,
-        n=args.n,
-        delta=args.delta,
-    )
-    config = {
-        "d_hdh": args.d_hdh, "f_hat_t": args.f_hat_t, "f_t_star": args.f_t_star,
-        "f_s_star": args.f_s_star, "vc_dim": args.vc_dim, "n": args.n,
-        "delta": args.delta,
-    }
+    config = _report_config(args)
     results = {
-        "rhs": divergence.erb_bound_rhs(inputs),
+        "rhs": divergence.erb_bound_rhs(divergence.BoundInputs(**config)),
         "interpretation_notes": list(divergence.INTERPRETATION_NOTES),
     }
     _emit_report(args, "bound", config, results)
@@ -288,7 +256,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    corpus, config = _synth_from_args(args)
+    corpus = _synth_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ids, batch in ((corpus.source_ids, corpus.source_images),
@@ -300,7 +268,7 @@ def _cmd_synth(args) -> int:
         "target_ids": corpus.target_ids,
         "extreme_ids": corpus.extreme_ids,
     }
-    write_report(out_dir / "manifest.json", "synth", config, results)
+    write_report(out_dir / "manifest.json", "synth", _report_config(args), results)
     return 0
 
 
@@ -374,7 +342,7 @@ def _cmd_check(args) -> int:
         "gradient_tolerance": CHECK_GRAD_TOLERANCE,
         "passed": passed,
     }
-    _emit_report(args, "check", {"probe_seed": CHECK_PROBE_SEED}, results)
+    _emit_report(args, "check", _report_config(args, probe_seed=CHECK_PROBE_SEED), results)
     if not passed:
         print("self-check failed", file=sys.stderr)
         return 2

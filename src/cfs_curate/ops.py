@@ -170,9 +170,9 @@ def normalize_cached(x, mode, gamma, beta, eps=1e-5):
     biased estimator of the current data; there are no running statistics.
     """
     axes, pshape, count = _norm_setup(x, mode, gamma, beta)
-    mean = x.mean(axis=axes, keepdims=True)
+    mean = x.sum(axis=axes, keepdims=True) / count
     centered = x - mean
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
+    var = (centered * centered).sum(axis=axes, keepdims=True) / count
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = gamma.reshape(pshape) * xhat + beta.reshape(pshape)

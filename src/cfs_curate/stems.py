@@ -1,12 +1,17 @@
 """Patch-embedding stems: patchify, convolution stack, and the IBN variant.
 
 All three map an image batch ``(B, 3, H, W)`` to a token sequence
-``(B, T, D)`` with ``T = (H/p) * (W/p)`` for patch stride ``p``:
+``(B, T, D)`` with ``T = (H/p) * (W/p)`` for patch stride ``p``, through
+one code path: a ladder of 3x3 stride-2 convolutions, then a projection
+convolution to D channels (``proj_kernel``/``proj_bias``) whose kernel
+size and stride are ``p / 2**len(ladder)``. The variants differ only in
+that data:
 
-* ``patchify``: a single stride-p, p x p convolution to D channels.
-* ``conv``: a ladder of 3x3 stride-2 convolutions, each followed by batch
-  normalization and relu, then a 1x1 projection to D. Ladder convolutions
-  use edge-replicate padding, not zero padding, so a constant shift of the
+* ``patchify``: the empty ladder, so the projection is a single stride-p,
+  p x p convolution.
+* ``conv``: a ladder whose convolutions are each followed by batch
+  normalization and relu, then a 1x1 projection. Ladder convolutions use
+  edge-replicate padding, not zero padding, so a constant shift of the
   input produces an exactly constant shift of every convolution output;
   zero padding would break that at image borders.
 * ``ics``: the same ladder, except that after each of the first
@@ -16,6 +21,10 @@ All three map an image batch ``(B, 3, H, W)`` to a token sequence
   per-sample appearance statistics (global shifts and rescalings) from
   its half, which is what makes this stem's shallow features invariant
   to per-image color changes; deeper layers use batch normalization only.
+
+Every ladder layer normalizes its channels ``[:half]`` by instance and
+``[half:]`` by batch (or per sample), with ``half`` zero on the layers
+that are not split.
 """
 
 from __future__ import annotations
@@ -65,16 +74,15 @@ class StemConfig:
             raise ConfigError(f"unknown stem variant {self.variant!r}")
         if self.embed_dim < 1 or self.patch_stride < 1:
             raise ConfigError("embed_dim and patch_stride must be positive")
-        if self.variant == "patchify":
-            return
-        ladder = self.channel_ladder or default_channel_ladder(
-            self.embed_dim, self.patch_stride
-        )
-        object.__setattr__(self, "channel_ladder", tuple(int(c) for c in ladder))
-        ladder = self.channel_ladder
+        ladder = tuple(int(c) for c in self.channel_ladder)
+        if self.variant != "patchify":
+            ladder = ladder or default_channel_ladder(self.embed_dim, self.patch_stride)
+        elif ladder:
+            raise ConfigError(f"the patchify stem is the empty ladder, got {ladder}")
+        object.__setattr__(self, "channel_ladder", ladder)
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError(f"channel ladder must be strictly increasing: {ladder}")
-        if LADDER_STRIDE ** len(ladder) != self.patch_stride:
+        if ladder and LADDER_STRIDE ** len(ladder) != self.patch_stride:
             raise ConfigError(
                 f"{len(ladder)} stride-{LADDER_STRIDE} layers reduce by "
                 f"{LADDER_STRIDE ** len(ladder)}, not patch stride {self.patch_stride}"
@@ -95,6 +103,12 @@ class StemConfig:
         """Number of leading layers whose channels are half-IN, half-BN."""
         return self.in_layers if self.variant == "ics" else 0
 
+    @property
+    def proj_stride(self) -> int:
+        """Kernel size and stride of the projection: p for the empty ladder,
+        1 after a ladder that already reduces by p."""
+        return self.patch_stride // LADDER_STRIDE ** len(self.channel_ladder)
+
 
 def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
     """Seeded parameters: kernels uniform in +-1/sqrt(fan-in), biases zero,
@@ -108,13 +122,6 @@ def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
         bound = 1.0 / np.sqrt(in_c * kh * kw)
         return rng.uniform(-bound, bound, size=(out_c, in_c, kh, kw))
 
-    p = config.patch_stride
-    d = config.embed_dim
-    if config.variant == "patchify":
-        return {
-            "patch_kernel": kernel(d, 3, p, p),
-            "patch_bias": np.zeros(d),
-        }
     params: dict[str, np.ndarray] = {}
     in_c = 3
     for i, out_c in enumerate(config.channel_ladder):
@@ -123,7 +130,8 @@ def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
         params[f"norm{i}_gamma"] = np.ones(out_c)
         params[f"norm{i}_beta"] = np.zeros(out_c)
         in_c = out_c
-    params["proj_kernel"] = kernel(d, in_c, 1, 1)
+    d, s = config.embed_dim, config.proj_stride
+    params["proj_kernel"] = kernel(d, in_c, s, s)
     params["proj_bias"] = np.zeros(d)
     return params
 
@@ -173,7 +181,6 @@ def _map_from_tokens(grad_tokens: np.ndarray, h: int, w: int) -> np.ndarray:
 @dataclass
 class _StemCache:
     config: StemConfig
-    images: np.ndarray
     layers: list = field(default_factory=list)
     proj_in: np.ndarray | None = None
     map_hw: tuple[int, int] = (0, 0)
@@ -190,26 +197,18 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
     ``beta`` for every image.
     """
     _check_image_batch(images, config)
-    cache = _StemCache(config=config, images=images)
-    if config.variant == "patchify":
-        fmap = ops.conv2d(
-            images, params["patch_kernel"], params["patch_bias"],
-            stride=config.patch_stride, pad=0,
-        )
-        cache.map_hw = fmap.shape[2:]
-        return _tokens_from_map(fmap), cache
-
     p = config.patch_stride
-    if images.shape[2:] == (p, p) and (per_sample or images.shape[0] == 1):
+    if (config.channel_ladder and images.shape[2:] == (p, p)
+            and (per_sample or images.shape[0] == 1)):
         population = "per sample" if per_sample else "in a batch of one"
         raise ConfigError(
             f"normalizing the last {config.variant} ladder layer {population} "
             f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
             "feature (use larger images, a smaller patch stride or a larger batch)"
         )
+    cache = _StemCache(config=config)
     bn_mode = "instance" if per_sample else "batch"
     x = images
-    split = config.split_layers
     for i, out_c in enumerate(config.channel_ladder):
         kernel = params[f"conv{i}_kernel"]
         padded = _edge_pad(x, LADDER_PAD)
@@ -218,61 +217,40 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
         )
         gamma = params[f"norm{i}_gamma"]
         beta = params[f"norm{i}_beta"]
-        if i < split:
-            half = out_c // 2
-            in_out, in_cache = ops.normalize_cached(
-                conv_out[:, :half], "instance", gamma[:half], beta[:half], config.eps
-            )
-            bn_out, bn_cache = ops.normalize_cached(
-                conv_out[:, half:], bn_mode, gamma[half:], beta[half:], config.eps
-            )
-            normed = np.concatenate([in_out, bn_out], axis=1)
-            norm_cache = ("split", half, in_cache, bn_cache)
-        else:
-            normed, single = ops.normalize_cached(
-                conv_out, bn_mode, gamma, beta, config.eps
-            )
-            norm_cache = ("full", None, single, None)
+        half = out_c // 2 if i < config.split_layers else 0
+        in_out, in_cache = ops.normalize_cached(
+            conv_out[:, :half], "instance", gamma[:half], beta[:half], config.eps
+        )
+        bn_out, bn_cache = ops.normalize_cached(
+            conv_out[:, half:], bn_mode, gamma[half:], beta[half:], config.eps
+        )
+        normed = np.concatenate([in_out, bn_out], axis=1)
         act = ops.activation(normed, "relu")
+        norm_cache = (half, in_cache, bn_cache)
         cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
         x = act
     cache.proj_in = x
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=1, pad=0)
+    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"],
+                      stride=config.proj_stride, pad=0)
     cache.map_hw = fmap.shape[2:]
     return _tokens_from_map(fmap), cache
 
 
 def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPair:
     """Map a token-sequence gradient back to image and parameter gradients."""
-    config = cache.config
     grad_map = _map_from_tokens(grad_tokens, *cache.map_hw)
-    grads: dict[str, np.ndarray] = {}
-    if config.variant == "patchify":
-        dx, dk, db = ops.conv2d_backward(
-            grad_map, cache.images, params["patch_kernel"],
-            stride=config.patch_stride, pad=0,
-        )
-        grads["patch_kernel"] = dk
-        grads["patch_bias"] = db
-        return GradPair(input_grad=dx, param_grads=grads)
-
-    dx, dk, db = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1, 0)
-    grads["proj_kernel"] = dk
-    grads["proj_bias"] = db
-    grad = dx
+    grad, dk, db = ops.conv2d_backward(
+        grad_map, cache.proj_in, params["proj_kernel"], stride=cache.config.proj_stride, pad=0
+    )
+    grads = {"proj_kernel": dk, "proj_bias": db}
     for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
         grad = ops.activation_backward(grad, normed, "relu")
-        kind, half, cache_a, cache_b = norm_cache
-        if kind == "split":
-            d_in, dg_in, db_in = ops.normalize_backward(grad[:, :half], cache_a)
-            d_bn, dg_bn, db_bn = ops.normalize_backward(grad[:, half:], cache_b)
-            grad = np.concatenate([d_in, d_bn], axis=1)
-            grads[f"norm{i}_gamma"] = np.concatenate([dg_in, dg_bn])
-            grads[f"norm{i}_beta"] = np.concatenate([db_in, db_bn])
-        else:
-            grad, dg, dbeta = ops.normalize_backward(grad, cache_a)
-            grads[f"norm{i}_gamma"] = dg
-            grads[f"norm{i}_beta"] = dbeta
+        half, in_cache, bn_cache = norm_cache
+        d_in, dg_in, db_in = ops.normalize_backward(grad[:, :half], in_cache)
+        d_bn, dg_bn, db_bn = ops.normalize_backward(grad[:, half:], bn_cache)
+        grad = np.concatenate([d_in, d_bn], axis=1)
+        grads[f"norm{i}_gamma"] = np.concatenate([dg_in, dg_bn])
+        grads[f"norm{i}_beta"] = np.concatenate([db_in, db_bn])
         grad, dk, db = ops.conv2d_backward(
             grad, padded, kernel, stride=LADDER_STRIDE, pad=0
         )

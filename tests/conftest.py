@@ -1,9 +1,12 @@
 """Shared test helpers."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from cfs_curate import encoder, ops, stems
-from cfs_curate.errors import FormatError, RangeError
+from cfs_curate.errors import ConfigError, FormatError, RangeError
+from cfs_curate.ops import GradPair
 
 
 def relu_margin(stem_cache) -> float:
@@ -138,3 +141,140 @@ def loop_ppm_tokens(data: bytes, path):
     if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
         raise FormatError(f"{path}: missing whitespace before payload")
     return tokens, pos + 1
+
+
+def branched_init_stem_params(seed, config):
+    """stems.init_stem_params as computed before patchify became the empty
+    ladder: its own branch with ``patch_kernel``/``patch_bias``. Reference
+    for bitwise equality."""
+    rng = np.random.default_rng(seed)
+
+    def kernel(out_c, in_c, kh, kw):
+        bound = 1.0 / np.sqrt(in_c * kh * kw)
+        return rng.uniform(-bound, bound, size=(out_c, in_c, kh, kw))
+
+    p = config.patch_stride
+    d = config.embed_dim
+    if config.variant == "patchify":
+        return {
+            "patch_kernel": kernel(d, 3, p, p),
+            "patch_bias": np.zeros(d),
+        }
+    params = {}
+    in_c = 3
+    for i, out_c in enumerate(config.channel_ladder):
+        params[f"conv{i}_kernel"] = kernel(out_c, in_c, stems.LADDER_KERNEL, stems.LADDER_KERNEL)
+        params[f"conv{i}_bias"] = np.zeros(out_c)
+        params[f"norm{i}_gamma"] = np.ones(out_c)
+        params[f"norm{i}_beta"] = np.zeros(out_c)
+        in_c = out_c
+    params["proj_kernel"] = kernel(d, in_c, 1, 1)
+    params["proj_bias"] = np.zeros(d)
+    return params
+
+
+@dataclass
+class BranchedStemCache:
+    config: stems.StemConfig
+    images: np.ndarray
+    layers: list = field(default_factory=list)
+    proj_in: np.ndarray | None = None
+    map_hw: tuple[int, int] = (0, 0)
+
+
+def branched_stem_forward_cached(images, config, params, per_sample=False):
+    """stems.stem_forward_cached as computed before the one code path: a
+    patchify branch and a "split"/"full" branch per ladder layer. Takes
+    patchify parameters as ``patch_*``. Reference for bitwise equality."""
+    stems._check_image_batch(images, config)
+    cache = BranchedStemCache(config=config, images=images)
+    if config.variant == "patchify":
+        fmap = ops.conv2d(
+            images, params["patch_kernel"], params["patch_bias"],
+            stride=config.patch_stride, pad=0,
+        )
+        cache.map_hw = fmap.shape[2:]
+        return stems._tokens_from_map(fmap), cache
+
+    p = config.patch_stride
+    if images.shape[2:] == (p, p) and (per_sample or images.shape[0] == 1):
+        population = "per sample" if per_sample else "in a batch of one"
+        raise ConfigError(
+            f"normalizing the last {config.variant} ladder layer {population} "
+            f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
+            "feature (use larger images, a smaller patch stride or a larger batch)"
+        )
+    bn_mode = "instance" if per_sample else "batch"
+    x = images
+    split = config.split_layers
+    for i, out_c in enumerate(config.channel_ladder):
+        kernel = params[f"conv{i}_kernel"]
+        padded = stems._edge_pad(x, stems.LADDER_PAD)
+        conv_out = ops.conv2d(
+            padded, kernel, params[f"conv{i}_bias"], stride=stems.LADDER_STRIDE, pad=0
+        )
+        gamma = params[f"norm{i}_gamma"]
+        beta = params[f"norm{i}_beta"]
+        if i < split:
+            half = out_c // 2
+            in_out, in_cache = ops.normalize_cached(
+                conv_out[:, :half], "instance", gamma[:half], beta[:half], config.eps
+            )
+            bn_out, bn_cache = ops.normalize_cached(
+                conv_out[:, half:], bn_mode, gamma[half:], beta[half:], config.eps
+            )
+            normed = np.concatenate([in_out, bn_out], axis=1)
+            norm_cache = ("split", half, in_cache, bn_cache)
+        else:
+            normed, single = ops.normalize_cached(
+                conv_out, bn_mode, gamma, beta, config.eps
+            )
+            norm_cache = ("full", None, single, None)
+        act = ops.activation(normed, "relu")
+        cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
+        x = act
+    cache.proj_in = x
+    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=1, pad=0)
+    cache.map_hw = fmap.shape[2:]
+    return stems._tokens_from_map(fmap), cache
+
+
+def branched_stem_backward(grad_tokens, cache, params):
+    """stems.stem_backward as computed before the one code path, on a
+    branched_stem_forward_cached cache. Reference for bitwise equality."""
+    config = cache.config
+    grad_map = stems._map_from_tokens(grad_tokens, *cache.map_hw)
+    grads = {}
+    if config.variant == "patchify":
+        dx, dk, db = ops.conv2d_backward(
+            grad_map, cache.images, params["patch_kernel"],
+            stride=config.patch_stride, pad=0,
+        )
+        grads["patch_kernel"] = dk
+        grads["patch_bias"] = db
+        return GradPair(input_grad=dx, param_grads=grads)
+
+    dx, dk, db = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1, 0)
+    grads["proj_kernel"] = dk
+    grads["proj_bias"] = db
+    grad = dx
+    for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
+        grad = ops.activation_backward(grad, normed, "relu")
+        kind, half, cache_a, cache_b = norm_cache
+        if kind == "split":
+            d_in, dg_in, db_in = ops.normalize_backward(grad[:, :half], cache_a)
+            d_bn, dg_bn, db_bn = ops.normalize_backward(grad[:, half:], cache_b)
+            grad = np.concatenate([d_in, d_bn], axis=1)
+            grads[f"norm{i}_gamma"] = np.concatenate([dg_in, dg_bn])
+            grads[f"norm{i}_beta"] = np.concatenate([db_in, db_bn])
+        else:
+            grad, dg, dbeta = ops.normalize_backward(grad, cache_a)
+            grads[f"norm{i}_gamma"] = dg
+            grads[f"norm{i}_beta"] = dbeta
+        grad, dk, db = ops.conv2d_backward(
+            grad, padded, kernel, stride=stems.LADDER_STRIDE, pad=0
+        )
+        grads[f"conv{i}_kernel"] = dk
+        grads[f"conv{i}_bias"] = db
+        grad = stems._edge_pad_backward(grad, stems.LADDER_PAD, in_h, in_w)
+    return GradPair(input_grad=grad, param_grads=grads)

@@ -124,6 +124,18 @@ class TestExitCodes:
         assert run("embed", str(image), "--out", str(emb)) == 2
         assert not emb.exists()
 
+    def test_hdh_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        """Sets of different dimension once reached np.vstack and exited
+        with NumPy's message about concatenation axes."""
+        p1 = tmp_path / "d4.emb"
+        p2 = tmp_path / "d8.emb"
+        formats.write_embeddings(EmbeddingSet(["a", "b"], np.ones((2, 4))), p1)
+        formats.write_embeddings(EmbeddingSet(["c", "d"], np.ones((2, 8))), p2)
+        out = tmp_path / "hdh.json"
+        assert run("hdh", str(p1), str(p2), "--out", str(out)) == 1
+        assert "feature dims differ: 4 vs 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_image_sizes_is_usage_error(self, tmp_path):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"

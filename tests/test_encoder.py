@@ -87,7 +87,7 @@ class TestEncodeBatch:
         imgs = rng.uniform(0, 1, (2, 3, 8, 8))
         for variant in stems.VARIANTS:
             stem = stems.StemConfig(variant, embed_dim=8, patch_stride=4,
-                                    channel_ladder=(4, 8))
+                                    channel_ladder=() if variant == "patchify" else (4, 8))
             cfg = encoder.ViTConfig(depth=1, heads=2, embed_dim=8, stem=stem,
                                     image_size=(8, 8))
             out = encoder.encode_batch(imgs, cfg, encoder.init_params(1, cfg))

@@ -130,6 +130,30 @@ class TestNormalize:
         assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-10
         assert np.abs(out.var(axis=(0, 2, 3)) - 1).max() <= 1e-6
 
+    @pytest.mark.parametrize("mode,shape", [
+        ("batch", (3, 4, 5, 6)), ("batch", (4, 3, 32, 32)), ("instance", (3, 4, 5, 6)),
+        ("instance", (2, 3, 64, 32)), ("instance", (2, 0, 3, 3)), ("layer", (2, 7, 9)),
+        ("layer", (3, 5, 384)),
+    ])
+    def test_bitwise_equal_to_np_mean_form(self, mode, shape):
+        """Mean and variance are population sums divided by the population
+        size: bitwise what np.mean gives. Empty channel sets (the unsplit
+        layers of a stem ladder) give empty outputs without warnings."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.normal(size=shape) * 100 + 3
+        if mode == "layer":
+            n, axes, pshape = shape[-1], (x.ndim - 1,), (1,) * (x.ndim - 1) + shape[-1:]
+        else:
+            n, axes, pshape = shape[1], (0, 2, 3) if mode == "batch" else (2, 3), (1, shape[1], 1, 1)
+        g = rng.normal(size=n)
+        b = rng.normal(size=g.shape)
+        centered = x - x.mean(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.mean(centered * centered, axis=axes, keepdims=True) + 1e-5)
+        expect = g.reshape(pshape) * (centered * inv_std) + b.reshape(pshape)
+        out = ops.normalize_cached(x, mode, g, b)[0]
+        assert out.shape == expect.shape
+        assert out.tobytes() == expect.tobytes()
+
     def test_batch_equals_instance_for_single_sample(self):
         """With B=1, batch statistics reduce to per-sample statistics."""
         rng = np.random.default_rng(RNG_SEED)

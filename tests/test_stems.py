@@ -10,9 +10,15 @@ RNG_SEED = 42
 
 
 def small_config(variant, in_layers=2):
+    ladder = () if variant == "patchify" else (4, 8)
     return stems.StemConfig(
-        variant, embed_dim=8, patch_stride=4, channel_ladder=(4, 8), in_layers=in_layers
+        variant, embed_dim=8, patch_stride=4, channel_ladder=ladder, in_layers=in_layers
     )
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestStemConfig:
@@ -53,6 +59,17 @@ class TestStemConfig:
     def test_patchify_ignores_ladder_fields(self):
         cfg = stems.StemConfig("patchify", embed_dim=8, patch_stride=4)
         assert cfg.split_layers == 0
+
+    def test_patchify_with_ladder_rejected(self):
+        """A patchify ladder was once stored and silently ignored."""
+        with pytest.raises(ConfigError, match="empty ladder"):
+            stems.StemConfig("patchify", embed_dim=8, patch_stride=4, channel_ladder=(4, 8))
+
+    def test_proj_stride(self):
+        assert stems.StemConfig("patchify", embed_dim=8, patch_stride=12).proj_stride == 12
+        assert small_config("patchify").proj_stride == 4
+        assert small_config("conv").proj_stride == 1
+        assert small_config("ics").proj_stride == 1
 
 
 class TestShapes:
@@ -109,7 +126,9 @@ class TestPatchify:
         cfg = stems.StemConfig("patchify", embed_dim=5, patch_stride=4)
         params = stems.init_stem_params(3, cfg)
         imgs = rng.uniform(0, 1, (2, 3, 8, 12))
-        fmap = ops.conv2d(imgs, params["patch_kernel"], params["patch_bias"], stride=4)
+        assert sorted(params) == ["proj_bias", "proj_kernel"]
+        assert params["proj_kernel"].shape == (5, 3, 4, 4)
+        fmap = ops.conv2d(imgs, params["proj_kernel"], params["proj_bias"], stride=4)
         expect = fmap.reshape(2, 5, 6).transpose(0, 2, 1)
         np.testing.assert_array_equal(stems.stem_forward(imgs, cfg, params), expect)
 
@@ -289,6 +308,54 @@ class TestGradients:
             analytic = pair.input_grad.reshape(-1)[j]
             denom = max(abs(numeric), abs(analytic), 1e-6)
             assert abs(numeric - analytic) / denom < 1e-4
+
+
+class TestBranchedOracle:
+    """The one code path against the branched code it replaced
+    (conftest.branched_*), which named the patchify projection patch_*."""
+
+    @staticmethod
+    def to_branched(variant, params):
+        if variant != "patchify":
+            return params
+        return {k.replace("proj_", "patch_"): v for k, v in params.items()}
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @pytest.mark.parametrize("shape,stride,dim", [
+        ((3, 3, 32, 32), 16, 32), ((3, 3, 64, 32), 8, 16), ((2, 3, 16, 16), 4, 8),
+    ])
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_bitwise_equal(self, variant, shape, stride, dim, per_sample):
+        from conftest import (branched_init_stem_params, branched_stem_backward,
+                              branched_stem_forward_cached)
+
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stems.StemConfig(variant, embed_dim=dim, patch_stride=stride)
+        params = stems.init_stem_params(5, cfg)
+        old_params = branched_init_stem_params(5, cfg)
+        if variant == "patchify":
+            assert sorted(old_params) == ["patch_bias", "patch_kernel"]
+        assert sorted(self.to_branched(variant, params)) == sorted(old_params)
+        for key, value in self.to_branched(variant, params).items():
+            assert_bitwise_equal(value, old_params[key])
+
+        images = rng.uniform(0, 1, shape)
+        tokens, cache = stems.stem_forward_cached(images, cfg, params, per_sample=per_sample)
+        old_tokens, old_cache = branched_stem_forward_cached(
+            images, cfg, old_params, per_sample=per_sample)
+        assert_bitwise_equal(tokens, old_tokens)
+        assert len(cache.layers) == len(old_cache.layers) == len(cfg.channel_ladder)
+        for layer, old_layer in zip(cache.layers, old_cache.layers):
+            assert_bitwise_equal(layer[5], old_layer[5])
+
+        grad_tokens = rng.normal(size=tokens.shape)
+        pair = stems.stem_backward(grad_tokens, cache, params)
+        old_pair = branched_stem_backward(grad_tokens, old_cache, old_params)
+        assert_bitwise_equal(pair.input_grad, old_pair.input_grad)
+        grads = self.to_branched(variant, pair.param_grads)
+        assert sorted(grads) == sorted(old_pair.param_grads) == sorted(old_params)
+        for key, value in grads.items():
+            assert_bitwise_equal(value, old_pair.param_grads[key])
 
 
 class TestDeterminism:

@@ -2,8 +2,11 @@
 similarity between original-corpus and augmented-corpus features.
 
 Images are (H, W, 3) float arrays in [0, 1]; every augmentation clamps
-its output back to [0, 1]. All six transforms are pure functions, so an
-invariance report is reproducible bit for bit.
+its output back to [0, 1]. ``augment`` and ``resize_bilinear`` take one
+image or an (N, H, W, 3) batch and act on the last three axes with
+per-image arithmetic, so a batch gives bitwise the images a loop over
+it gives. All six transforms are pure functions, so an invariance
+report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ def default_specs() -> list[AugmentationSpec]:
 
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-centered source coordinates."""
+    """Bilinear resample of (..., H, W, 3) with half-pixel-centered source
+    coordinates."""
     if out_h < 1 or out_w < 1:
         raise RangeError(f"target size {out_h}x{out_w} must be positive")
-    h, w = image.shape[:2]
+    h, w = image.shape[-3:-1]
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)
@@ -64,13 +68,16 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    upper = image[..., y0, :, :]
+    lower = image[..., y1, :, :]
+    top = upper[..., x0, :] * (1 - wx) + upper[..., x1, :] * wx
+    bottom = lower[..., x0, :] * (1 - wx) + lower[..., x1, :] * wx
     return top * (1 - wy) + bottom * wy
 
 
-def augment(image, spec: AugmentationSpec) -> np.ndarray:
-    """Apply one deterministic augmentation; output clamped to [0, 1].
+def augment(images, spec: AugmentationSpec) -> np.ndarray:
+    """Apply one deterministic augmentation to an (H, W, 3) image or an
+    (N, H, W, 3) batch, image by image; output clamped to [0, 1].
 
     brightness: add magnitude to every value.
     contrast: scale deviations from the per-image mean by (1 + magnitude).
@@ -79,30 +86,29 @@ def augment(image, spec: AugmentationSpec) -> np.ndarray:
     flip: mirror horizontally (magnitude ignored).
     scale: bilinear downsize by (1 - magnitude), then upsize back.
     """
-    image = check_image(image)
+    images = check_image(images, allow_batch=True)
     m = spec.magnitude
+    h, w = images.shape[-3:-1]
     if spec.kind == "brightness":
-        out = image + m
+        out = images + m
     elif spec.kind == "contrast":
-        mean = image.mean()
-        out = mean + (image - mean) * (1.0 + m)
+        mean = images.mean(axis=(-3, -2, -1), keepdims=True)
+        out = mean + (images - mean) * (1.0 + m)
     elif spec.kind == "saturation":
-        luma = image @ LUMA_WEIGHTS
-        out = image * (1.0 - m) + luma[:, :, None] * m
+        luma = images @ LUMA_WEIGHTS
+        out = images * (1.0 - m) + luma[..., None] * m
     elif spec.kind == "flip":
-        out = image[:, ::-1, :]
+        out = images[..., ::-1, :]
     elif spec.kind == "crop":
-        h, w = image.shape[:2]
         ch = max(1, int(round(h * (1.0 - m))))
         cw = max(1, int(round(w * (1.0 - m))))
         top = (h - ch) // 2
         left = (w - cw) // 2
-        out = resize_bilinear(image[top:top + ch, left:left + cw], h, w)
+        out = resize_bilinear(images[..., top:top + ch, left:left + cw, :], h, w)
     else:  # scale
-        h, w = image.shape[:2]
         dh = max(1, int(round(h * (1.0 - m))))
         dw = max(1, int(round(w * (1.0 - m))))
-        out = resize_bilinear(resize_bilinear(image, dh, dw), h, w)
+        out = resize_bilinear(resize_bilinear(images, dh, dw), h, w)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -169,7 +175,7 @@ def invariance_report(config: enc.ViTConfig, params, images, specs=None,
     base = enc.encode_batch(batch_from_images(images), config, params, mode=mode)
     entries = []
     for spec in specs:
-        shifted = np.stack([augment(img, spec) for img in images])
+        shifted = augment(images, spec)
         feats = enc.encode_batch(batch_from_images(shifted), config, params, mode=mode)
         entries.append(CkaEntry(
             kind=spec.kind,

@@ -47,13 +47,21 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Unfold a padded (B, C, Hp, Wp) array into (B, C*kh*kw, L) columns."""
-    b, c = xp.shape[:2]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    h_out, w_out = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
-    return np.ascontiguousarray(cols)
+    """Unfold a padded (B, C, Hp, Wp) array into (B, C*kh*kw, L) columns.
+
+    One read-only strided view (b, c, ki, kj, oi, oj) -> xp[b, c,
+    oi*stride + ki, oj*stride + kj]. The reshape copies it in row-major
+    order; a 1x1 kernel at stride 1 needs no copy and stays a view of xp.
+    """
+    b, c, hp, wp = xp.shape
+    sb, sc, sh, sw = xp.strides
+    h_out = (hp - kh) // stride + 1
+    w_out = (wp - kw) // stride + 1
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(b, c, kh, kw, h_out, w_out),
+        strides=(sb, sc, sh, sw, sh * stride, sw * stride), writeable=False,
+    )
+    return windows.reshape(b, c * kh * kw, h_out * w_out)
 
 
 def conv2d(

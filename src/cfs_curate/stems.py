@@ -52,6 +52,11 @@ def default_channel_ladder(embed_dim: int, patch_stride: int) -> tuple[int, ...]
     depth = int(round(np.log2(patch_stride)))
     if 2**depth != patch_stride:
         raise ConfigError(f"patch stride {patch_stride} is not a power of 2")
+    if depth < 1:
+        raise ConfigError(
+            f"patch stride {patch_stride} leaves no stride-{LADDER_STRIDE} ladder layer; "
+            f"a ladder needs a patch stride of at least {LADDER_STRIDE}"
+        )
     ladder = tuple(embed_dim // 2**(depth - 1 - i) for i in range(depth))
     if ladder[0] < 1 or any(c * 2**(depth - 1 - i) != embed_dim for i, c in enumerate(ladder)):
         raise ConfigError(
@@ -146,7 +151,20 @@ def _check_image_batch(images: np.ndarray, config: StemConfig):
 
 
 def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    """Replicate the border of (B, C, H, W) ``pad`` times on each side.
+
+    Slice copies into one preallocated array: the interior, then the top
+    and bottom rows, then the full-height left and right columns, which
+    fill the corners from the rows just copied.
+    """
+    b, c, h, w = x.shape
+    out = np.empty((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = x
+    out[:, :, :pad, pad:pad + w] = x[:, :, :1]
+    out[:, :, pad + h:, pad:pad + w] = x[:, :, -1:]
+    out[:, :, :, :pad] = out[:, :, :, pad:pad + 1]
+    out[:, :, :, pad + w:] = out[:, :, :, pad + w - 1:pad + w]
+    return out
 
 
 def _edge_pad_backward(grad_padded: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:

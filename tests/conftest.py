@@ -6,7 +6,14 @@ import numpy as np
 
 from cfs_curate import encoder, ops, stems
 from cfs_curate.errors import ConfigError, FormatError, RangeError
+from cfs_curate.invariance import LUMA_WEIGHTS, AugmentationSpec
+from cfs_curate.validation import check_image
 from cfs_curate.ops import GradPair
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 def relu_margin(stem_cache) -> float:
@@ -278,3 +285,91 @@ def branched_stem_backward(grad_tokens, cache, params):
         grads[f"conv{i}_bias"] = db
         grad = stems._edge_pad_backward(grad, stems.LADDER_PAD, in_h, in_w)
     return GradPair(input_grad=grad, param_grads=grads)
+
+
+def np_pad_edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """stems._edge_pad as computed before the slice-copy fill: one
+    np.pad in edge mode. Reference for bitwise equality."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+
+
+def sliding_window_im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """ops._im2col as computed before the single strided view: the
+    window -> slice -> transpose -> reshape chain. Reference for bitwise
+    equality."""
+    b, c = xp.shape[:2]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    h_out, w_out = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h_out * w_out)
+    return np.ascontiguousarray(cols)
+
+
+def single_image_resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """invariance.resize_bilinear as computed before it took batches: one
+    (H, W, 3) image. Reference for bitwise equality."""
+    if out_h < 1 or out_w < 1:
+        raise RangeError(f"target size {out_h}x{out_w} must be positive")
+    h, w = image.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def single_image_augment(image, spec: AugmentationSpec) -> np.ndarray:
+    """invariance.augment as computed before it took batches: one
+    (H, W, 3) image. Reference for bitwise equality."""
+    image = check_image(image)
+    m = spec.magnitude
+    if spec.kind == "brightness":
+        out = image + m
+    elif spec.kind == "contrast":
+        mean = image.mean()
+        out = mean + (image - mean) * (1.0 + m)
+    elif spec.kind == "saturation":
+        luma = image @ LUMA_WEIGHTS
+        out = image * (1.0 - m) + luma[:, :, None] * m
+    elif spec.kind == "flip":
+        out = image[:, ::-1, :]
+    elif spec.kind == "crop":
+        h, w = image.shape[:2]
+        ch = max(1, int(round(h * (1.0 - m))))
+        cw = max(1, int(round(w * (1.0 - m))))
+        top = (h - ch) // 2
+        left = (w - cw) // 2
+        out = single_image_resize_bilinear(image[top:top + ch, left:left + cw], h, w)
+    else:  # scale
+        h, w = image.shape[:2]
+        dh = max(1, int(round(h * (1.0 - m))))
+        dw = max(1, int(round(w * (1.0 - m))))
+        out = single_image_resize_bilinear(single_image_resize_bilinear(image, dh, dw), h, w)
+    return np.clip(out, 0.0, 1.0)
+
+
+def hh_disagreement_rates(hypothesis_class, samples) -> np.ndarray:
+    """divergence._disagreement_rates as computed before the row blocks:
+    the whole H x H rate matrix. Reference for bitwise equality."""
+    p = hypothesis_class.predict_matrix(samples)
+    ones = p.sum(axis=1)
+    rates = p @ p.T
+    rates *= -2.0
+    rates += ones[:, None]
+    rates += ones
+    rates /= p.shape[1]
+    return rates
+
+
+def hh_hdh_empirical(u1, u2, hypothesis_class) -> float:
+    """divergence.hdh_empirical as computed before the row blocks: two
+    H x H rate matrices. Reference for bitwise equality."""
+    gaps = hh_disagreement_rates(hypothesis_class, u1)
+    gaps -= hh_disagreement_rates(hypothesis_class, u2)
+    return float(np.abs(gaps, out=gaps).max())

@@ -12,6 +12,8 @@ from cfs_curate import cli, divergence, formats
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import RangeError
 
+from conftest import hh_hdh_empirical
+
 
 def loop_hdh(u1, u2, hypothesis_class):
     # independent oracle: evaluate every hypothesis with python loops and
@@ -155,8 +157,8 @@ class TestHdhEmpirical:
         assert divergence.hdh_empirical(u1, u2, klass) == divergence.hdh_empirical(u2, u1, klass)
 
     def test_peak_memory_is_two_rate_matrices(self):
-        """About 1000 hypotheses over 32 dims; the two H x H rate matrices
-        are the peak, so at most 2.5 H^2 float64 values are live at once."""
+        """About 1000 hypotheses over 32 dims; at most 2.5 H^2 float64
+        values are live at once."""
         rng = np.random.default_rng(4)
         u1 = rng.normal(size=(40, 32))
         u2 = rng.normal(size=(40, 32)) + 0.3
@@ -170,6 +172,40 @@ class TestHdhEmpirical:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * h * h * 8, f"peak {peak / (h * h * 8):.2f} H^2 float64"
+
+    def test_peak_memory_at_audit_shape_within_budget(self):
+        """2 x 256 samples in 32 dims, 64 thresholds per dim: H = 2050, the
+        audit benchmark's shape. Budget 24 MiB, set before measuring; two
+        whole H x H rate matrices take about 68 MB here."""
+        rng = np.random.default_rng(11)
+        u1 = rng.normal(size=(256, 32))
+        u2 = rng.normal(size=(256, 32)) + 0.2
+        klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=64)
+        assert len(klass) == 2050
+        tracemalloc.start()
+        try:
+            divergence.hdh_empirical(u1, u2, klass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 256])
+    def test_row_blocks_bitwise_equal_to_hh_matrices(self, monkeypatch, block_rows):
+        """Every block size, with H below, at and above it, gives the value
+        of the whole H x H rate matrices (conftest.hh_hdh_empirical)."""
+        monkeypatch.setattr(divergence, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(12)
+        cases = {  # H: (n1, n2, d, cap)
+            17: (30, 20, 3, 5), 20: (9, 1, 2, 62), 64: (50, 50, 2, 31),
+            66: (40, 50, 4, 16), 256: (100, 100, 2, 127), 322: (300, 200, 8, 40),
+        }
+        for h, (n1, n2, d, cap) in cases.items():
+            u1 = rng.normal(size=(n1, d))
+            u2 = rng.normal(size=(n2, d)) * 1.3 + 0.2
+            klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=cap)
+            assert len(klass) == h
+            assert divergence.hdh_empirical(u1, u2, klass) == hh_hdh_empirical(u1, u2, klass)
 
     def test_cli_matches_loop_oracle_on_multidimensional_files(self, tmp_path):
         """``hdh`` on random 3-D EMB1 files, one dimension with ties, equals

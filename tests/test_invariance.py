@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from cfs_curate import encoder, invariance, stems
+from cfs_curate import encoder, formats, invariance, stems
 from cfs_curate.errors import DegenerateFeatureError, DimensionError, RangeError
+
+from conftest import assert_bitwise_equal, single_image_augment, single_image_resize_bilinear
 
 
 def sample_images(seed=0, n=6, h=16, w=16):
@@ -120,6 +122,88 @@ class TestResizeBilinear:
             inner, np.interp(xs, np.arange(16), expected)[None, 1:-1, None]
             * np.ones_like(inner), rtol=0, atol=1e-12
         )
+
+
+class TestBatchedAugment:
+    """A batch against the per-image code it replaced
+    (conftest.single_image_augment), image by image."""
+
+    @pytest.mark.parametrize("magnitude", [0.0, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", invariance.AUGMENTATION_KINDS)
+    @pytest.mark.parametrize("hw", [(17, 9), (1, 1), (16, 16), (5, 12)])
+    def test_bitwise_equal_to_per_image_loop(self, kind, magnitude, hw):
+        spec = invariance.AugmentationSpec(kind, magnitude)
+        images = np.random.default_rng(7).uniform(0, 1, size=(4, *hw, 3))
+        old = np.stack([single_image_augment(image, spec) for image in images])
+        assert_bitwise_equal(invariance.augment(images, spec), old)
+        assert_bitwise_equal(invariance.augment(images[2], spec), old[2])
+        # a view that is not contiguous takes the same per-image arithmetic
+        mirrored = images[::-2, :, ::-1]
+        old = np.stack([single_image_augment(image, spec) for image in mirrored])
+        assert_bitwise_equal(invariance.augment(mirrored, spec), old)
+
+    @pytest.mark.parametrize("out_hw", [(1, 1), (7, 20), (16, 5)])
+    def test_resize_bitwise_equal_to_per_image_loop(self, out_hw):
+        images = np.random.default_rng(8).uniform(0, 1, size=(3, 9, 13, 3))
+        old = np.stack([single_image_resize_bilinear(image, *out_hw) for image in images])
+        assert_bitwise_equal(invariance.resize_bilinear(images, *out_hw), old)
+
+    def test_report_augments_each_kind_once(self, monkeypatch):
+        """invariance_report calls augment once per kind on the whole
+        corpus, and its scores are bitwise those of the per-image loop."""
+        config, params = small_model()
+        images = sample_images()
+        specs = invariance.default_specs()
+        calls = []
+        batched = invariance.augment
+
+        def counting(batch, spec):
+            calls.append(batch.shape)
+            return batched(batch, spec)
+
+        monkeypatch.setattr(invariance, "augment", counting)
+        report = invariance.invariance_report(config, params, images, specs)
+        assert calls == [images.shape] * len(specs)
+        monkeypatch.setattr(invariance, "augment", lambda batch, spec: np.stack(
+            [single_image_augment(image, spec) for image in batch]))
+        assert invariance.invariance_report(config, params, images, specs) == report
+
+
+class TestAugmentValidation:
+    """A batch has the contract of a single image; single-image messages
+    are unchanged."""
+
+    SPEC = invariance.AugmentationSpec("brightness", 0.1)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "image contains NaN or Inf"),
+        (np.inf, "image contains NaN or Inf"),
+        (-0.5, "image values must lie in [0, 1]"),
+        (1.5, "image values must lie in [0, 1]"),
+    ])
+    @pytest.mark.parametrize("batched", [False, True], ids=["image", "batch"])
+    def test_bad_values_rejected(self, bad, message, batched):
+        images = sample_images(n=3, h=5, w=4)
+        images[1, 2, 3, 0] = bad
+        with pytest.raises(DimensionError) as info:
+            invariance.augment(images if batched else images[1], self.SPEC)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape,message", [
+        ((5, 4, 4), "image must be H x W x 3, got shape (5, 4, 4)"),
+        ((5, 4), "image must be H x W x 3, got shape (5, 4)"),
+        ((2, 5, 4, 1), "image batch must be N x H x W x 3, got shape (2, 5, 4, 1)"),
+        ((1, 2, 5, 4, 3), "image must be H x W x 3, got shape (1, 2, 5, 4, 3)"),
+    ])
+    def test_bad_shapes_rejected(self, shape, message):
+        with pytest.raises(DimensionError) as info:
+            invariance.augment(np.full(shape, 0.5), self.SPEC)
+        assert str(info.value) == message
+
+    def test_ppm_writer_takes_one_image_only(self, tmp_path):
+        with pytest.raises(DimensionError, match=r"image must be H x W x 3, got shape \(2, 4, 4, 3\)"):
+            formats.write_image_ppm(np.full((2, 4, 4, 3), 0.5), tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
 
 
 class TestCkaLinear:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cfs_curate import ops
 from cfs_curate.errors import DimensionError, RangeError
 
-from conftest import add_at_conv2d_backward
+from conftest import add_at_conv2d_backward, assert_bitwise_equal, sliding_window_im2col
 
 RNG_SEED = 42
 
@@ -111,6 +111,61 @@ class TestConv2d:
             want = add_at_conv2d_backward(g, x, k, stride=stride, pad=pad)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+
+def im2col_inputs(rng):
+    """A contiguous map, a 1x1 map, and views that are not contiguous."""
+    base = rng.normal(size=(2, 5, 11, 10))
+    return [
+        rng.normal(size=(2, 3, 9, 7)),
+        rng.normal(size=(3, 4, 1, 1)),
+        base[:, 1:4],  # channel slice
+        base[:, :, 2:9, 1:8],  # cropped window
+        base[:, ::2, ::-1, :],  # strided, mirrored
+    ]
+
+
+class TestIm2colOracle:
+    """The single strided view against the sliding-window chain it
+    replaced (conftest.sliding_window_im2col)."""
+
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("stride_offset", [-1, 0, 1], ids=["below", "equal", "above"])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    def test_columns_bitwise_equal(self, kh, kw, stride_offset, pad):
+        stride = max(1, kh + stride_offset)
+        for x in im2col_inputs(np.random.default_rng(RNG_SEED)):
+            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+            if xp.shape[2] < kh or xp.shape[3] < kw:
+                continue
+            cols = ops._im2col(xp, kh, kw, stride)
+            assert_bitwise_equal(cols, sliding_window_im2col(xp, kh, kw, stride))
+
+    @pytest.mark.parametrize("kh,kw,stride", [(1, 1, 1), (3, 3, 2), (2, 2, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    def test_conv2d_and_backward_bitwise_equal(self, monkeypatch, kh, kw, stride, pad):
+        rng = np.random.default_rng(RNG_SEED + 1)
+        for x in im2col_inputs(rng):
+            if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
+                continue
+            kernel = rng.normal(size=(4, x.shape[1], kh, kw))
+            bias = rng.normal(size=4)
+            out = ops.conv2d(x, kernel, bias, stride=stride, pad=pad)
+            grad_out = rng.normal(size=out.shape)
+            grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride, pad=pad)
+            with monkeypatch.context() as patch:
+                patch.setattr(ops, "_im2col", sliding_window_im2col)
+                old_out = ops.conv2d(x, kernel, bias, stride=stride, pad=pad)
+                old_grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride, pad=pad)
+            assert_bitwise_equal(out, old_out)
+            for got, want in zip(grads, old_grads):
+                assert_bitwise_equal(got, want)
+
+    def test_columns_are_read_only(self):
+        """A 1x1 kernel's columns are a view of the input; writes are refused."""
+        x = np.random.default_rng(RNG_SEED).normal(size=(1, 1, 3, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            ops._im2col(x, 1, 1, 1)[0, 0, 0] = 1.0
 
 
 class TestNormalize:

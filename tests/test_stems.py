@@ -6,6 +6,8 @@ import pytest
 from cfs_curate import ops, stems
 from cfs_curate.errors import ConfigError, DimensionError
 
+from conftest import assert_bitwise_equal, np_pad_edge_pad, sliding_window_im2col
+
 RNG_SEED = 42
 
 
@@ -14,11 +16,6 @@ def small_config(variant, in_layers=2):
     return stems.StemConfig(
         variant, embed_dim=8, patch_stride=4, channel_ladder=ladder, in_layers=in_layers
     )
-
-
-def assert_bitwise_equal(a, b):
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()
 
 
 class TestStemConfig:
@@ -64,6 +61,13 @@ class TestStemConfig:
         """A patchify ladder was once stored and silently ignored."""
         with pytest.raises(ConfigError, match="empty ladder"):
             stems.StemConfig("patchify", embed_dim=8, patch_stride=4, channel_ladder=(4, 8))
+
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_stride_one_leaves_no_ladder_layer(self, variant):
+        """The default ladder at patch stride 1 is empty; reading its first
+        layer once raised IndexError."""
+        with pytest.raises(ConfigError, match="patch stride 1 leaves no stride-2 ladder layer"):
+            stems.StemConfig(variant, embed_dim=8, patch_stride=1)
 
     def test_proj_stride(self):
         assert stems.StemConfig("patchify", embed_dim=8, patch_stride=12).proj_stride == 12
@@ -355,6 +359,50 @@ class TestBranchedOracle:
         grads = self.to_branched(variant, pair.param_grads)
         assert sorted(grads) == sorted(old_pair.param_grads) == sorted(old_params)
         for key, value in grads.items():
+            assert_bitwise_equal(value, old_pair.param_grads[key])
+
+
+class TestEdgePadOracle:
+    """The slice-copy fill against the np.pad edge form it replaced
+    (conftest.np_pad_edge_pad)."""
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_bitwise_equal(self, pad):
+        rng = np.random.default_rng(RNG_SEED)
+        base = rng.normal(size=(2, 5, 9, 8))
+        inputs = [
+            rng.normal(size=(2, 3, 6, 5)),
+            rng.normal(size=(3, 2, 1, 1)),  # 1x1 map
+            rng.normal(size=(1, 2, 1, 4)),  # one row
+            base[:, 1:4],  # channel slice
+            base[:, :, ::2, ::-1],  # strided, mirrored view
+        ]
+        for x in inputs:
+            assert_bitwise_equal(stems._edge_pad(x, pad), np_pad_edge_pad(x, pad))
+
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_stem_bitwise_equal_with_old_pad_and_im2col(self, monkeypatch, variant):
+        """Tokens and every gradient of a ladder stem are bitwise what the
+        np.pad edge form and the sliding-window im2col give."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
+        params = stems.init_stem_params(3, cfg)
+        images = rng.uniform(0, 1, (3, 3, 16, 24))
+        grad_tokens = rng.normal(size=(3, 6, 16))
+
+        def run():
+            tokens, cache = stems.stem_forward_cached(images, cfg, params)
+            return tokens, stems.stem_backward(grad_tokens, cache, params)
+
+        tokens, pair = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(stems, "_edge_pad", np_pad_edge_pad)
+            patch.setattr(ops, "_im2col", sliding_window_im2col)
+            old_tokens, old_pair = run()
+        assert_bitwise_equal(tokens, old_tokens)
+        assert_bitwise_equal(pair.input_grad, old_pair.input_grad)
+        assert sorted(pair.param_grads) == sorted(old_pair.param_grads)
+        for key, value in pair.param_grads.items():
             assert_bitwise_equal(value, old_pair.param_grads[key])
 
 

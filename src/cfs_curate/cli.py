@@ -21,6 +21,7 @@ from . import cfs, divergence, ops, selection, stems
 from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
 from .errors import DimensionError, FormatError, RangeError
 from .formats import (
+    Columns,
     read_embeddings,
     read_image_ppm,
     read_report,
@@ -86,18 +87,12 @@ def _load_images(paths: list[str]) -> tuple[np.ndarray, list[str]]:
     return np.stack(images), ids
 
 
-def _table_entries(table: cfs.ScoreTable) -> list[dict]:
-    return [
-        {"id": i, "rank": rank, "score": score}
-        for rank, (i, score) in enumerate(zip(table.ids, table.scores.tolist()), start=1)
-    ]
-
-
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
     """Rebuild a score table from rows in any order. Any malformed entry is
     a FormatError: entries that are not a list of objects, a rank that is
     not an int, an id that is not a str, a score that is not a number (a
-    bool is none of these), or ranks that are not a permutation of 1..N."""
+    bool is none of these), or ranks that are not a permutation of 1..N.
+    Rows already in rank order are taken as they are."""
     try:
         rows = document["results"]["entries"]
         if not isinstance(rows, list) or not set(map(type, rows)) <= {dict}:
@@ -107,10 +102,13 @@ def _table_from_report(document: dict, path) -> cfs.ScoreTable:
                 and set(map(type, scores)) <= {int, float}):
             raise FormatError(f"{path}: score report rows need an int rank, a str id"
                               " and a numeric score")
-        if sorted(ranks) != list(range(1, len(rows) + 1)):
-            raise RangeError("ranks must be a permutation of 1..N")
-        order = np.argsort(ranks).tolist()
-        return cfs.ScoreTable([ids[i] for i in order], [float(scores[i]) for i in order])
+        in_order = list(range(1, len(rows) + 1))
+        if ranks != in_order:
+            if sorted(ranks) != in_order:
+                raise RangeError("ranks must be a permutation of 1..N")
+            order = np.argsort(ranks).tolist()
+            ids, scores = [ids[i] for i in order], [scores[i] for i in order]
+        return cfs.ScoreTable(ids, scores)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: not a score report (missing {exc})") from exc
     except (ValueError, OverflowError) as exc:  # ranks, non-finite or increasing scores, ids
@@ -127,10 +125,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    by_source = read_embeddings(args.by_source)
-    by_target = read_embeddings(args.by_target)
-    table = cfs.score_corpus(by_source, by_target)
-    _emit_report(args, "score", _report_config(args), {"entries": _table_entries(table)})
+    table = cfs.score_corpus(read_embeddings(args.by_source), read_embeddings(args.by_target))
+    entries = Columns(id=table.ids, rank=range(1, len(table) + 1), score=table.scores.tolist())
+    _emit_report(args, "score", _report_config(args), {"entries": entries})
     return 0
 
 

@@ -17,7 +17,8 @@ duplicate ids or records of dimension 0 is malformed. Reports are JSON
 with sorted keys and no timestamps, so a fixed-seed run writes
 byte-identical files: exactly ``json.dumps(document, sort_keys=True,
 indent=2)`` plus a newline, written without CPython's pure-Python
-indenting encoder.
+indenting encoder. A ``Columns`` table is written as its list of rows
+from its columns, formatted once each, with no per-row dict.
 """
 
 from __future__ import annotations
@@ -207,6 +208,15 @@ def _scalars(values: list) -> list[str] | None:
     return list(map(_SCALAR_FORMATS[kind], values))
 
 
+class Columns:
+    """Equal-length columns by name, which a report writes as the list of
+    row objects they stand for: ``Columns(id=ids, rank=ranks)`` as
+    ``[{"id": ids[0], "rank": ranks[0]}, ...]``, byte for byte."""
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+
 def _block(brackets: str, items: list[str], indent: str) -> str:
     """``items`` one per line, two spaces in from ``indent``, inside ``brackets``."""
     inner = indent + "  "
@@ -214,33 +224,40 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
-def _rows(rows: list, indent: str) -> list[str] | None:
-    """JSON text of each row of a list of dicts that share one set of str
-    keys with scalar columns, one %-template per row; otherwise None."""
-    if set(map(type, rows)) != {dict}:
+def _table(table: Columns, indent: str) -> str | None:
+    """JSON text of a table's rows, if its columns are ``_scalars`` of one
+    length, as one join of the column texts and separators; else None."""
+    names = sorted(table.columns)
+    texts = [_scalars(table.columns[name]) for name in names]
+    if None in texts or len(set(map(len, texts))) != 1:
         return None
-    keys = rows[0].keys()
-    if set(map(type, keys)) != {str} or not all(row.keys() == keys for row in rows):
-        return None
-    names = sorted(keys)
-    columns = [_scalars([row[name] for row in rows]) for name in names]
-    if any(column is None for column in columns):
-        return None
-    template = _block("{}", [f"{encode_basestring_ascii(name).replace('%', '%%')}: %s"
-                             for name in names], indent)
-    return [template % row for row in zip(*columns)]
+    row, field = indent + "  ", indent + "    "
+    keys = [f"{encode_basestring_ascii(name)}: " for name in names]
+    # the first column's separator also closes the previous row
+    seps = [f"\n{row}}},\n{row}{{\n{field}{keys[0]}", *(f",\n{field}{k}" for k in keys[1:])]
+    stride = 2 * len(names)
+    pieces = [None] * (stride * len(texts[0]))
+    for j, (sep, text) in enumerate(zip(seps, texts)):
+        pieces[2 * j::stride] = [sep] * len(text)
+        pieces[2 * j + 1::stride] = text
+    pieces[0] = f"[\n{row}{{\n{field}{keys[0]}"
+    pieces.append(f"\n{row}}}\n{indent}]")
+    return "".join(pieces)
 
 
 def _dumps(value, indent: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, its lines after the
-    first indented by ``indent``."""
+    first indented by ``indent``; a ``Columns`` table as its list of rows."""
     inner = indent + "  "
+    if type(value) is Columns:
+        names, rows = value.columns, zip(*value.columns.values(), strict=True)
+        return _table(value, indent) or _dumps([dict(zip(names, row)) for row in rows], indent)
     if type(value) is dict and set(map(type, value)) == {str}:  # {} has no key types
         items = [f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
                  for key in sorted(value)]
         return _block("{}", items, indent)
     if type(value) is list and value:
-        items = _rows(value, inner) or _scalars(value) or [_dumps(v, inner) for v in value]
+        items = _scalars(value) or [_dumps(v, inner) for v in value]
         return _block("[]", items, indent)
     # everything else, through json.dumps; a JSON string never holds a raw
     # newline, so each newline starts a line to indent

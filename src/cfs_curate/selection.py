@@ -119,8 +119,10 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e
         del d2
         if history is not None:
             history.append(float(((x - centers[assign]) ** 2).sum(axis=-1).sum()))
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, x)
+        # per-column bincounts add each cluster's members in index order
+        sums = np.empty_like(centers)
+        for j, column in enumerate(x.T):
+            sums[:, j] = np.bincount(assign, weights=column, minlength=k)
         counts = np.bincount(assign, minlength=k)
         kept = counts > 0
         new_centers = centers.copy()

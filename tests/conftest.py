@@ -125,6 +125,54 @@ def loop_kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float
     return centers
 
 
+def add_at_kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6,
+                      history: list | None = None) -> np.ndarray:
+    """selection.kmeans_fit as computed before per-column bincount sums:
+    GEMM-form rounds whose center sums are one np.add.at scatter of the
+    rows. Reference for bitwise equality of centers and history."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise RangeError(f"features must be a nonempty N x d matrix, got {x.shape}")
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise RangeError(f"k must be in [1, {n}], got {k}")
+
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    closest = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = rng.choice(n, p=closest / total)
+        else:  # remaining points coincide with chosen centers
+            idx = rng.integers(n)
+        centers[j] = x[idx]
+        closest = np.minimum(closest, ((x - centers[j]) ** 2).sum(axis=1))
+
+    x_sq = (x * x).sum(axis=1)[:, None]
+    for _ in range(max_iter):
+        d2 = x @ centers.T
+        d2 *= -2.0
+        d2 += x_sq
+        d2 += (centers * centers).sum(axis=1)
+        assign = d2.argmin(axis=1)
+        del d2
+        if history is not None:
+            history.append(float(((x - centers[assign]) ** 2).sum(axis=-1).sum()))
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, x)
+        counts = np.bincount(assign, minlength=k)
+        kept = counts > 0
+        new_centers = centers.copy()
+        new_centers[kept] = sums[kept] / counts[kept, None]
+        shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers
+
+
 def loop_ppm_tokens(data: bytes, path):
     """formats._ppm_tokens as computed before the one-regex token match: a
     byte-by-byte loop. Reference for equal tokens, offsets and messages."""

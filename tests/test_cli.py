@@ -86,10 +86,14 @@ class TestExitCodes:
         b'[{"id": "a", "rank": ' + b"9" * 5000 + b', "score": 0.5}]',
         b"[" * 100_000 + b"]" * 100_000,
         b'[{"id": "\xff", "rank": 1, "score": 0.5}]',
+        b'[{"id": "a", "rank": 1, "score": 1' + b"0" * 400 + b"}]",
+        b'[{"id": "b", "rank": 2, "score": 0.5}, {"id": "a", "rank": 1, "score": 1'
+        + b"0" * 400 + b"}]",
     ], ids=["non_numeric_score", "increasing_score", "rank_zero", "rank_above_n",
             "repeated_rank", "nan_score", "repeated_id", "float_rank", "string_rank",
             "bool_rank", "null_id", "int_id", "string_score", "bool_score", "entries_object",
-            "over_long_rank", "deep_nesting", "not_utf8"])
+            "over_long_rank", "deep_nesting", "not_utf8", "over_large_score_in_rank_order",
+            "over_large_score_out_of_rank_order"])
     def test_malformed_score_report_is_data_error(self, tmp_path, entries):
         scores = tmp_path / "s.json"
         if isinstance(entries, bytes):  # raw text that no report writer produces

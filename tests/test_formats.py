@@ -365,3 +365,77 @@ class TestReportWriter:
         oracle = json.dumps({"config": {}, "results": {"entries": rows}, "schema_version": 1,
                              "tool": "t"}, sort_keys=True, indent=2) + "\n"
         assert formats.report_bytes("t", {}, {"entries": rows}) == oracle.encode("utf-8")
+
+
+IDS = st.text(st.sampled_from('azé日\U0001f600\U0010ffff\x00\x1f\x7f"\\/%s\n\t '),
+              max_size=6) | st.just("café")
+INTS = st.integers() | st.sampled_from([0, -1, 2**53 + 1, 2**64, -(2**100), 10**300])
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e16, 1e17, 1.5, -1e308]))
+# columns the table writer formats itself ...
+COLUMN_KINDS = [IDS, INTS, FINITE]
+# ... and columns that must take the generic path: non-finite floats, bools,
+# mixed types and NumPy scalars
+FALLBACK_KINDS = [FLOATS, st.booleans(), SCALARS, FINITE.map(np.float64),
+                  st.one_of(INTS, FINITE)]
+
+
+def columns_oracle(columns: dict) -> bytes:
+    """What a Columns table stands for, through json.dumps."""
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    document = {"schema_version": formats.REPORT_SCHEMA_VERSION, "tool": "t", "config": {},
+                "results": {"entries": rows, "n": len(rows)}}
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def columns_bytes(columns: dict) -> bytes:
+    n = len(next(iter(columns.values()), []))
+    return formats.report_bytes("t", {}, {"entries": formats.Columns(**columns), "n": n})
+
+
+@st.composite
+def column_tables(draw, kinds):
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    n = draw(st.sampled_from([0, 1, 2, draw(st.integers(3, 40))]))
+    return {name: draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n))
+            for name in names}
+
+
+class TestColumnsWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=column_tables(COLUMN_KINDS))
+    def test_bytes_equal_json_dumps_oracle(self, columns):
+        assert columns_bytes(columns) == columns_oracle(columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=column_tables(COLUMN_KINDS + FALLBACK_KINDS))
+    def test_mixed_columns_equal_json_dumps_oracle(self, columns):
+        assert columns_bytes(columns) == columns_oracle(columns)
+
+    @pytest.mark.parametrize("column", [
+        [0.5, math.nan], [math.inf, 0.5], [-math.inf], [True, False], [1, 0.5], [0.5, 1],
+        [1, True], ["a", 1], [None, None], [np.float64(0.5)], [[1], [2]],
+    ], ids=["nan", "inf", "minus_inf", "bool", "int_then_float", "float_then_int",
+            "int_and_bool", "str_and_int", "null", "numpy_float", "nested"])
+    def test_fallback_column_equals_oracle(self, column):
+        columns = {"id": [f"r{i}" for i in range(len(column))], "value": column}
+        assert formats._table(formats.Columns(**columns), "") is None
+        assert columns_bytes(columns) == columns_oracle(columns)
+
+    def test_zero_rows_write_empty_list(self):
+        for columns in ({"id": [], "score": []}, {}):
+            text = formats.report_bytes("t", {}, {"entries": formats.Columns(**columns)})
+            assert b'"entries": []' in text
+            assert json.loads(text)["results"]["entries"] == []
+
+    def test_many_rows_match_oracle(self):
+        rng = np.random.default_rng(5)
+        n = 5000
+        columns = {"score": np.sort(rng.normal(size=n))[::-1].tolist(),
+                   "rank": range(1, n + 1), "id": [f"réc-{i:05d}\"" for i in range(n)]}
+        assert columns_bytes(columns) == columns_oracle(columns)
+
+    @pytest.mark.parametrize("short", [[0.5], [], [math.nan]])
+    def test_unequal_lengths_rejected(self, short):
+        with pytest.raises(ValueError):
+            formats.report_bytes("t", {}, {"entries": formats.Columns(id=["a", "b"], score=short)})

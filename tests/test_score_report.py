@@ -68,6 +68,63 @@ class TestScoreFilterOracle:
             assert kept.read_text(encoding="utf-8") == report_text("filter", config, results)
 
 
+class TestRankOracle:
+    """The rank workload's output rules at a tenth of its size: records
+    scored against float64 cosines of the float32-stored features,
+    computed here by a different formula than the program's."""
+
+    N, D, TIE_TOLERANCE = 2000, 32, 1e-12
+
+    def test_score_then_filter_follow_float64_cosine_order(self, tmp_path):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(self.N, self.D))
+        b = 0.6 * a + 0.8 * rng.normal(size=a.shape)
+        # 1% of rows copied from earlier rows: exact ties in both files
+        copies = rng.choice(np.arange(self.N // 2, self.N), size=self.N // 100, replace=False)
+        for j in copies:
+            i = int(rng.integers(0, j))
+            a[j], b[j] = a[i], b[i]
+        ids = [f"rec-{i:05d}" for i in range(self.N)]
+        by_source, by_target = tmp_path / "s.emb", tmp_path / "t.emb"
+        for path, x in ((by_source, a), (by_target, b)):
+            header = b"EMB1" + struct.pack("<HII", 1, self.N, self.D)
+            id_block = b"".join(struct.pack("<I", len(i)) + i.encode() for i in ids)
+            path.write_bytes(header + id_block + x.astype("<f4").tobytes())
+
+        stored_a, stored_b = (x.astype("<f4").astype(np.float64) for x in (a, b))
+        oracle = (stored_a * stored_b).sum(axis=1) / np.sqrt(
+            (stored_a * stored_a).sum(axis=1) * (stored_b * stored_b).sum(axis=1))
+        expected = np.argsort(-oracle, kind="stable").tolist()
+        index_of = {record_id: i for i, record_id in enumerate(ids)}
+
+        report, kept = tmp_path / "scores.json", tmp_path / "kept.json"
+        assert cli.main(["score", str(by_source), str(by_target), "--out", str(report)]) == 0
+        assert cli.main(["filter", str(report), "--ratio", "0.5", "--out", str(kept)]) == 0
+
+        entries = json.loads(report.read_text(encoding="utf-8"))["results"]["entries"]
+        assert [e["rank"] for e in entries] == list(range(1, self.N + 1))
+        got = [index_of[e["id"]] for e in entries]
+        assert sorted(got) == list(range(self.N))
+        # positions may differ only between records whose oracle scores
+        # lie within the tolerance
+        swapped = [pos for pos, (g, w) in enumerate(zip(got, expected)) if g != w]
+        assert all(abs(oracle[got[pos]] - oracle[expected[pos]]) <= self.TIE_TOLERANCE
+                   for pos in swapped)
+        # exact ties (the planted copies) keep ascending input order
+        last = {}
+        for i in got:
+            assert i > last.get(oracle[i], -1)
+            last[oracle[i]] = i
+        assert len(set(oracle.tolist())) <= self.N - len(copies)
+        worst = max(abs(e["score"] - oracle[index_of[e["id"]]]) for e in entries)
+        assert worst <= self.TIE_TOLERANCE
+
+        results = json.loads(kept.read_text(encoding="utf-8"))["results"]
+        keep = self.N // 2
+        assert results["n_prime"] == keep
+        assert results["selected_ids"] == [e["id"] for e in entries[:keep]]
+
+
 @st.composite
 def valid_reports(draw):
     n = draw(st.integers(1, 6))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import loop_kmeans_fit
+from conftest import add_at_kmeans_fit, loop_kmeans_fit
 
 from cfs_curate import cfs, selection
 from cfs_curate.embeddings import EmbeddingSet
@@ -145,6 +145,28 @@ class TestKmeans:
             got_history, want_history = [], []
             got = selection.kmeans_fit(x, k, seed, history=got_history)
             want = loop_kmeans_fit(x, k, seed, history=want_history)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x.shape, k)
+            assert got_history == want_history, (x.shape, k)
+
+    def test_bitwise_equal_to_add_at_oracle(self):
+        """Per-column bincount sums add each cluster's members in index
+        order, as the np.add.at scatter did: same centers and history, sign
+        bits included, on continuous data, on lattice data with exact ties
+        and signed zeros, at the select benchmark's shape and at d = 0."""
+        rng = np.random.default_rng(22)
+        cases = [(x, k, seed) for x, k, seed in oracle_shapes()]
+        for seed in range(30):
+            n, d = int(rng.integers(1, 80)), int(rng.integers(1, 6))
+            lattice = rng.integers(-2, 3, size=(n, d)) * 0.1
+            lattice[rng.random(size=lattice.shape) < 0.2] = -0.0
+            cases.append((lattice, int(rng.integers(1, n + 1)), seed))
+        blobs = rng.normal(size=(64, 32)) * 12
+        cases.append((blobs[np.arange(2400) % 64] + rng.normal(size=(2400, 32)) * 0.05, 64, 3))
+        cases.append((np.zeros((5, 0)), 2, 0))  # records of dimension 0
+        for x, k, seed in cases:
+            got_history, want_history = [], []
+            got = selection.kmeans_fit(x, k, seed, history=got_history)
+            want = add_at_kmeans_fit(x, k, seed, history=want_history)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x.shape, k)
             assert got_history == want_history, (x.shape, k)
 

@@ -29,7 +29,6 @@ from .divergence import (
 from .embeddings import EmbeddingSet
 from .encoder import (
     ViTConfig,
-    encode_batch,
     encoder_backward,
     encoder_forward,
     encoder_forward_cached,
@@ -63,11 +62,9 @@ from .invariance import (
     invariance_report,
 )
 from .pipeline import (
-    ProxyPair,
     compare_on_synth_corpus,
     default_vit_config,
     embed_images,
-    make_proxy_pair,
     score_synth_corpus,
 )
 from .selection import (
@@ -96,7 +93,6 @@ __all__ = [
     "EmbeddingSet",
     "EmptyInputError",
     "FormatError",
-    "ProxyPair",
     "RangeError",
     "ScoreTable",
     "SelectionConfig",
@@ -118,7 +114,6 @@ __all__ = [
     "default_specs",
     "default_vit_config",
     "embed_images",
-    "encode_batch",
     "encoder_backward",
     "encoder_forward",
     "encoder_forward_cached",
@@ -129,7 +124,6 @@ __all__ = [
     "init_stem_params",
     "invariance_report",
     "kmeans_fit",
-    "make_proxy_pair",
     "read_embeddings",
     "read_image_ppm",
     "read_report",

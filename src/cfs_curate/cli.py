@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -162,20 +163,11 @@ def _cmd_select(args) -> int:
         selection.SelectionConfig("cfs", args.ratio),
     ]
     reports = compare_on_synth_corpus(corpus, configs, proxy_seed=args.seed)
-    results = []
-    for r in reports:
-        row = {
-            "strategy": r.strategy,
-            "mean_cfs": r.mean_cfs,
-            "mean_nearest_target_cosine": r.mean_nearest_target_cosine,
-            "delta_mean_cfs": r.delta_mean_cfs,
-            "delta_nearest_target": r.delta_nearest_target,
-            "selected_ids": r.selected_ids,
-        }
-        if r.strategy == "cluster":
-            row.update(kmeans_iterations=r.kmeans_iterations,
-                       kmeans_objective=r.kmeans_objective)
-        results.append(row)
+    # the kmeans_* fields are None except on the cluster row, which alone reports them
+    results = [
+        {k: v for k, v in asdict(r).items() if v is not None or not k.startswith("kmeans_")}
+        for r in reports
+    ]
     _emit_report(args, "select", _report_config(args), {"strategies": results})
     return 0
 
@@ -201,15 +193,8 @@ def _cmd_cka(args) -> int:
         model_id=f"{args.stem}:{args.seed}",
         corpus_id=f"{len(ids)} images",
     )
-    results = {
-        "model_id": report.model_id,
-        "corpus_id": report.corpus_id,
-        "entries": [
-            {"kind": e.kind, "magnitude": e.magnitude, "score": e.score}
-            for e in report.entries
-        ],
-    }
-    _emit_report(args, "cka", _report_config(args, kinds=[s.kind for s in specs]), results)
+    _emit_report(args, "cka", _report_config(args, kinds=[s.kind for s in specs]),
+                 asdict(report))
     return 0
 
 

@@ -20,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops, stems
-from .embeddings import EmbeddingSet
 from .errors import ConfigError, DimensionError
 from .ops import GradPair
 from .stems import StemConfig
-
-ENCODE_MODES = ("batch", "per_image")
-
-# per_image mode encodes this many input bytes per forward pass (42 images
-# at 32x32): enough rows to amortize the per-call cost, few enough that
-# the activations of one chunk stay small whatever the corpus size.
-CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -277,37 +269,3 @@ def encoder_forward(images, config: ViTConfig, params, per_sample=False) -> np.n
     features, _ = encoder_forward_cached(images, config, params, per_sample)
     return features
 
-
-def encode_batch(images, config: ViTConfig, params, ids=None, mode="batch") -> EmbeddingSet:
-    """Encode a batch of images into an EmbeddingSet.
-
-    ``mode="batch"`` runs one forward pass, so any batch-norm layers in
-    the stem see the whole batch (training-mode statistics). ``mode=
-    "per_image"`` runs forward passes with per-sample statistics over
-    chunks of at most ``CHUNK_BYTES`` of input; every feature is bitwise
-    equal to encoding its image alone, whatever it is batched with and
-    however the rows are chunked. Corpus scoring uses per_image so a
-    record's score never depends on its neighbors. A conv or ics stem
-    whose last ladder map is 1x1 is refused in per_image mode and for a
-    batch of one, where every image would get the same feature.
-    """
-    if mode not in ENCODE_MODES:
-        raise ConfigError(f"mode must be one of {ENCODE_MODES}, got {mode!r}")
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise DimensionError(f"images must be (B, 3, H, W), got {images.shape}")
-    if ids is None:
-        ids = [str(i) for i in range(images.shape[0])]
-    ids = [str(i) for i in ids]
-    if len(ids) != images.shape[0]:
-        raise DimensionError(f"{len(ids)} ids for {images.shape[0]} images")
-    if mode == "batch":
-        features = encoder_forward(images, config, params)
-    else:
-        chunk = max(1, CHUNK_BYTES // max(1, images[:1].nbytes))
-        parts = [
-            encoder_forward(images[i:i + chunk], config, params, per_sample=True)
-            for i in range(0, images.shape[0], chunk)
-        ]
-        features = np.concatenate(parts) if parts else np.zeros((0, config.embed_dim))
-    return EmbeddingSet(ids=ids, features=features)

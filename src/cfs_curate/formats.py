@@ -128,7 +128,8 @@ def read_embeddings(path) -> EmbeddingSet:
         raise _truncated(path, "features block", need, pos, size)
     if pos + need != size:
         raise FormatError(f"{path}: {size - pos - need} trailing bytes after features block")
-    features = np.frombuffer(data[pos:], dtype="<f4").astype(np.float64).reshape(count, dim)
+    features = np.frombuffer(data, "<f4", count * dim, pos).astype(np.float64).reshape(count, dim)
+    del data  # free the file bytes before EmbeddingSet copies and checks the ids
     try:
         return EmbeddingSet(ids=ids, features=features)
     except DimensionError as exc:  # non-finite features or duplicate ids

@@ -6,7 +6,10 @@ its output back to [0, 1]. ``augment`` and ``resize_bilinear`` take one
 image or an (N, H, W, 3) batch and act on the last three axes with
 per-image arithmetic, so a batch gives bitwise the images a loop over
 it gives. All six transforms are pure functions, so an invariance
-report is reproducible bit for bit.
+report is reproducible bit for bit. ``invariance_report`` encodes each
+(N, H, W, 3) corpus in one forward pass, its stem's batch norms taking
+statistics over the whole corpus (``mode="batch"``) or over each image
+alone (``mode="per_image"``, what corpus embedding uses).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .errors import DegenerateFeatureError, DimensionError, RangeError
+from .errors import ConfigError, DegenerateFeatureError, DimensionError, RangeError
 from .validation import check_image
 
 AUGMENTATION_KINDS = ("brightness", "contrast", "saturation", "crop", "flip", "scale")
@@ -136,14 +139,6 @@ def cka_linear(x, y) -> float:
     return float(np.linalg.norm(yc.T @ xc) ** 2 / (denom_x * denom_y))
 
 
-def batch_from_images(images) -> np.ndarray:
-    """(N, H, W, 3) images in [0,1] -> (N, 3, H, W) encoder input."""
-    arr = np.asarray(images, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[-1] != 3:
-        raise DimensionError(f"expected (N, H, W, 3) images, got {arr.shape}")
-    return np.ascontiguousarray(arr.transpose(0, 3, 1, 2))
-
-
 @dataclass(frozen=True)
 class CkaEntry:
     kind: str
@@ -162,24 +157,31 @@ def invariance_report(config: enc.ViTConfig, params, images, specs=None,
                       model_id="model", corpus_id="corpus", mode="batch") -> CkaReport:
     """CKA between original-corpus and augmented-corpus features.
 
-    The corpus is encoded once, then re-encoded after each augmentation;
-    one entry per requested augmentation, in request order. The default batch mode
-    lets batch-norm stems see the whole corpus, which is the regime where
-    the stem variants differ.
+    The corpus is encoded once, then re-encoded after each augmentation,
+    each time in one forward pass; one entry per requested augmentation,
+    in request order. The default ``mode="batch"`` lets batch-norm stems
+    see the whole corpus, which is the regime where the stem variants
+    differ; ``mode="per_image"`` uses per-sample statistics, the features
+    corpus embedding gives.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4 or images.shape[0] < 2:
+    if images.ndim != 4 or images.shape[0] < 2 or images.shape[-1] != 3:
         raise DimensionError("invariance_report needs at least 2 (H, W, 3) images")
+    if mode not in ("batch", "per_image"):
+        raise ConfigError(f"mode must be 'batch' or 'per_image', got {mode!r}")
     if specs is None:
         specs = default_specs()
-    base = enc.encode_batch(batch_from_images(images), config, params, mode=mode)
+
+    def encode(batch):
+        return enc.encoder_forward(batch.transpose(0, 3, 1, 2), config, params,
+                                   per_sample=(mode == "per_image"))
+
+    base = encode(images)
     entries = []
     for spec in specs:
-        shifted = augment(images, spec)
-        feats = enc.encode_batch(batch_from_images(shifted), config, params, mode=mode)
         entries.append(CkaEntry(
             kind=spec.kind,
             magnitude=spec.magnitude,
-            score=cka_linear(base.features, feats.features),
+            score=cka_linear(base, encode(augment(images, spec))),
         ))
     return CkaReport(model_id=model_id, corpus_id=corpus_id, entries=entries)

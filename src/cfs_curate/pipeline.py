@@ -16,26 +16,28 @@ cancels exactly the per-image channel-mean shift the alignment applies:
 both proxies would give every record the same feature up to rounding,
 and the scores would rank floating-point noise.
 
-Corpus embedding always encodes in per_image mode: batched forward passes
+:func:`embed_images` is the one corpus encoder: batched forward passes
 over chunks of rows in which every normalization uses per-sample
 statistics, so a record's feature, and therefore its score and rank, is
 bitwise what encoding it alone would give and never depends on which
-other records happen to be embedded alongside it.
+other records happen to be embedded alongside it, or on the chunking.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cfs, selection
 from .embeddings import EmbeddingSet
-from .encoder import ViTConfig, encode_batch, init_params
+from .encoder import ViTConfig, encoder_forward, init_params
 from .errors import DimensionError
-from .invariance import batch_from_images
 from .stems import StemConfig
 from .synth import SynthCorpus
+
+# embed_images encodes this many input bytes per forward pass (42 images
+# at 32x32): enough rows to amortize the per-call cost, few enough that
+# the activations of one chunk stay small whatever the corpus size.
+CHUNK_BYTES = 2**20
 
 
 def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
@@ -48,11 +50,21 @@ def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
 
 
 def embed_images(images, ids, config: ViTConfig, params) -> EmbeddingSet:
-    """Encode (N, H, W, 3) images, rows in input order, in per_image mode:
-    each record gets the feature it would get if encoded alone (see
-    :func:`encoder.encode_batch`)."""
-    return encode_batch(batch_from_images(images), config, params, ids=ids,
-                        mode="per_image")
+    """Encode (N, H, W, 3) images, rows in input order, over chunks of at
+    most ``CHUNK_BYTES`` of input with per-sample statistics: each record
+    gets bitwise the feature it would get if encoded alone. A conv or ics
+    stem whose last ladder map is 1x1 is refused, because every image
+    would get the same feature."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4 or images.shape[-1] != 3:
+        raise DimensionError(f"expected (N, H, W, 3) images, got {images.shape}")
+    chunk = max(1, CHUNK_BYTES // max(1, images[:1].nbytes))
+    features = np.empty((images.shape[0], config.embed_dim))
+    for i in range(0, images.shape[0], chunk):
+        features[i:i + chunk] = encoder_forward(
+            images[i:i + chunk].transpose(0, 3, 1, 2), config, params, per_sample=True
+        )
+    return EmbeddingSet(ids, features)
 
 
 def palette_mean(images) -> np.ndarray:
@@ -77,40 +89,23 @@ def align_channel_means(images, target_palette) -> np.ndarray:
     return arr - per_image + palette
 
 
-@dataclass(frozen=True)
-class ProxyPair:
-    """Source proxy (the encoder as initialized) and its synthesized
-    target counterpart (the same encoder behind palette alignment)."""
-
-    config: ViTConfig
-    params: dict = field(repr=False)
-    target_palette: np.ndarray
-
-
-def make_proxy_pair(seed: int, config: ViTConfig, target_images) -> ProxyPair:
-    return ProxyPair(
-        config=config,
-        params=init_params(seed, config),
-        target_palette=palette_mean(target_images),
-    )
-
-
-def embed_source_under_both(pair: ProxyPair, images, ids) -> tuple[EmbeddingSet, EmbeddingSet]:
-    """The two views of the source corpus that scoring consumes."""
-    by_source = embed_images(images, ids, pair.config, pair.params)
-    aligned = align_channel_means(images, pair.target_palette)
-    by_target = embed_images(aligned, ids, pair.config, pair.params)
-    return by_source, by_target
+def _embed_under_both(corpus: SynthCorpus, proxy_seed: int):
+    """The source proxy (the patchify encoder as initialized) and its
+    synthesized target counterpart (the same encoder behind alignment to
+    the target palette): the encoder, and the source corpus's features
+    under each proxy, the two views that scoring consumes."""
+    config = default_vit_config("patchify", corpus.source_images.shape[1:3])
+    params = init_params(proxy_seed, config)
+    aligned = align_channel_means(corpus.source_images, palette_mean(corpus.target_images))
+    by_source = embed_images(corpus.source_images, corpus.source_ids, config, params)
+    by_target = embed_images(aligned, corpus.source_ids, config, params)
+    return config, params, by_source, by_target
 
 
 def score_synth_corpus(corpus: SynthCorpus, proxy_seed: int = 0) -> cfs.ScoreTable:
     """Score a synthetic corpus end to end with the patchify stem (see the
     module docstring for why no normalizing stem is offered)."""
-    config = default_vit_config("patchify", corpus.source_images.shape[1:3])
-    pair = make_proxy_pair(proxy_seed, config, corpus.target_images)
-    by_source, by_target = embed_source_under_both(
-        pair, corpus.source_images, corpus.source_ids
-    )
+    _, _, by_source, by_target = _embed_under_both(corpus, proxy_seed)
     return cfs.score_corpus(by_source, by_target)
 
 
@@ -118,12 +113,6 @@ def compare_on_synth_corpus(corpus: SynthCorpus, configs,
                             proxy_seed: int = 0) -> list[selection.SelectionReport]:
     """Run the strategy comparison end to end on a synthetic corpus with
     the patchify stem, as :func:`score_synth_corpus` does."""
-    config = default_vit_config("patchify", corpus.source_images.shape[1:3])
-    pair = make_proxy_pair(proxy_seed, config, corpus.target_images)
-    by_source, by_target = embed_source_under_both(
-        pair, corpus.source_images, corpus.source_ids
-    )
-    target_ref = embed_images(
-        corpus.target_images, corpus.target_ids, pair.config, pair.params
-    )
+    config, params, by_source, by_target = _embed_under_both(corpus, proxy_seed)
+    target_ref = embed_images(corpus.target_images, corpus.target_ids, config, params)
     return selection.compare_strategies(by_source, by_target, target_ref, configs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfs_curate import encoder, ops, stems
+from cfs_curate import encoder, ops, pipeline, stems
 from cfs_curate.errors import ConfigError, DimensionError
 from conftest import batch_of_one_loop, einsum_conv2d
 
@@ -90,8 +90,8 @@ class TestEncodeBatch:
                                     channel_ladder=() if variant == "patchify" else (4, 8))
             cfg = encoder.ViTConfig(depth=1, heads=2, embed_dim=8, stem=stem,
                                     image_size=(8, 8))
-            out = encoder.encode_batch(imgs, cfg, encoder.init_params(1, cfg))
-            assert out.features.shape == (2, 8)
+            out = encoder.encoder_forward(imgs, cfg, encoder.init_params(1, cfg))
+            assert out.shape == (2, 8)
 
     def test_batch_permutation_permutes_features(self):
         """No cross-image coupling outside batch norm: permuting the batch
@@ -106,20 +106,20 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(a[perm], b)
 
     def test_per_image_mode_isolates_batch_norm(self):
-        """With a BN stem, a record's per_image feature does not depend on
-        what it is batched with; its batch-mode feature does."""
+        """With a BN stem, a record's per-sample feature does not depend on
+        what it is batched with; its whole-batch feature does."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = ics_cfg()
         params = encoder.init_params(5, cfg)
         a = rng.uniform(0, 1, (1, 3, 8, 8))
         b = rng.uniform(0, 1, (1, 3, 8, 8))
         c = rng.uniform(0, 1, (1, 3, 8, 8))
-        ab = encoder.encode_batch(np.concatenate([a, b]), cfg, params, mode="per_image")
-        ac = encoder.encode_batch(np.concatenate([a, c]), cfg, params, mode="per_image")
-        np.testing.assert_array_equal(ab.features[0], ac.features[0])
-        ab_batch = encoder.encode_batch(np.concatenate([a, b]), cfg, params, mode="batch")
-        ac_batch = encoder.encode_batch(np.concatenate([a, c]), cfg, params, mode="batch")
-        assert not np.array_equal(ab_batch.features[0], ac_batch.features[0])
+        ab, ac = (encoder.encoder_forward(np.concatenate([a, x]), cfg, params, per_sample=True)
+                  for x in (b, c))
+        np.testing.assert_array_equal(ab[0], ac[0])
+        ab_batch, ac_batch = (encoder.encoder_forward(np.concatenate([a, x]), cfg, params)
+                              for x in (b, c))
+        assert not np.array_equal(ab_batch[0], ac_batch[0])
 
     def test_zero_image_finite_feature(self):
         cfg = patchify_cfg()
@@ -134,20 +134,16 @@ class TestEncodeBatch:
             encoder.encoder_forward(np.zeros((1, 3, 12, 12)), cfg, params)
 
     def test_ids_default_and_mismatch(self):
+        """embed_images labels rows with the ids as strings, in input order,
+        and refuses an id count that does not match the images."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = patchify_cfg()
         params = encoder.init_params(5, cfg)
-        imgs = rng.uniform(0, 1, (2, 3, 8, 8))
-        out = encoder.encode_batch(imgs, cfg, params)
-        assert out.ids == ["0", "1"]
+        imgs = rng.uniform(0, 1, (2, 8, 8, 3))
+        out = pipeline.embed_images(imgs, [7, 3], cfg, params)
+        assert out.ids == ["7", "3"]
         with pytest.raises(DimensionError):
-            encoder.encode_batch(imgs, cfg, params, ids=["only-one"])
-
-    def test_unknown_mode_rejected(self):
-        cfg = patchify_cfg()
-        params = encoder.init_params(5, cfg)
-        with pytest.raises(ConfigError):
-            encoder.encode_batch(np.zeros((1, 3, 8, 8)), cfg, params, mode="stream")
+            pipeline.embed_images(imgs, ["only-one"], cfg, params)
 
 
 def stride16_cfg(variant, size=(32, 32)):
@@ -155,9 +151,15 @@ def stride16_cfg(variant, size=(32, 32)):
     return encoder.ViTConfig(depth=2, heads=2, embed_dim=32, stem=stem, image_size=size)
 
 
+def nhwc(images):
+    """(N, 3, H, W) encoder input as the (N, H, W, 3) corpus embed_images takes."""
+    return np.ascontiguousarray(images.transpose(0, 2, 3, 1))
+
+
 class TestPerImageMode:
-    """per_image runs chunked batched forwards with per-sample statistics;
-    each feature must be bitwise what encoding the image alone gives."""
+    """embed_images runs chunked batched forwards with per-sample
+    statistics; each feature must be bitwise what encoding the image alone
+    gives."""
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
     @pytest.mark.parametrize("size", [(32, 32), (64, 32)])
@@ -170,10 +172,28 @@ class TestPerImageMode:
         imgs = rng.uniform(0, 1, (8, 3) + size)
         alone = batch_of_one_loop(imgs, cfg, params)
         perm = np.array([6, 2, 0, 5, 7, 1, 4, 3])
+        ids = [str(i) for i in perm]
         for budget in (1, 3 * imgs[0].nbytes, 2**40):
-            monkeypatch.setattr(encoder, "CHUNK_BYTES", budget)
-            got = encoder.encode_batch(imgs[perm], cfg, params, mode="per_image").features
+            monkeypatch.setattr(pipeline, "CHUNK_BYTES", budget)
+            got = pipeline.embed_images(nhwc(imgs)[perm], ids, cfg, params).features
             np.testing.assert_array_equal(got, alone[perm])
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_noncontiguous_view_equals_contiguous_copy(self, variant):
+        """A strided, flipped or transposed (N, H, W, 3) view is encoded
+        without a copy, into bitwise the features of its contiguous copy."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stride16_cfg(variant)
+        params = encoder.init_params(3, cfg)
+        corpus = rng.uniform(0, 1, (10, 32, 32, 3))
+        views = [corpus[::2], corpus[:5, ::-1], corpus[5:].transpose(0, 2, 1, 3),
+                 rng.uniform(0, 1, (5, 3, 32, 32)).transpose(0, 2, 3, 1)]
+        ids = [str(i) for i in range(5)]
+        for view in views:
+            assert not view.flags.c_contiguous
+            got = pipeline.embed_images(view, ids, cfg, params).features
+            want = pipeline.embed_images(np.ascontiguousarray(view), ids, cfg, params).features
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
     def test_matches_einsum_loop(self, monkeypatch, variant):
@@ -183,16 +203,16 @@ class TestPerImageMode:
         cfg = stride16_cfg(variant)
         params = encoder.init_params(3, cfg)
         imgs = rng.uniform(0, 1, (6, 3, 32, 32))
-        got = encoder.encode_batch(imgs, cfg, params, mode="per_image").features
+        got = pipeline.embed_images(nhwc(imgs), list("abcdef"), cfg, params).features
         monkeypatch.setattr(ops, "conv2d", einsum_conv2d)
         np.testing.assert_allclose(got, batch_of_one_loop(imgs, cfg, params),
                                    rtol=0, atol=1e-12)
 
     def test_empty_batch(self):
         cfg = stride16_cfg("conv")
-        out = encoder.encode_batch(np.zeros((0, 3, 32, 32)), cfg,
-                                   encoder.init_params(3, cfg), mode="per_image")
-        assert out.features.shape == (0, 32)
+        out = pipeline.embed_images(np.zeros((0, 32, 32, 3)), [], cfg,
+                                    encoder.init_params(3, cfg))
+        assert out.ids == [] and out.features.shape == (0, 32)
 
     @pytest.mark.parametrize("variant", ["conv", "ics"])
     def test_refuses_per_sample_norm_of_1x1_map(self, variant):
@@ -203,21 +223,22 @@ class TestPerImageMode:
         params = encoder.init_params(3, cfg)
         imgs = rng.uniform(0, 1, (4, 3, 16, 16))
         with pytest.raises(ConfigError):
-            encoder.encode_batch(imgs, cfg, params, mode="per_image")
-        batch = encoder.encode_batch(imgs, cfg, params, mode="batch").features
+            pipeline.embed_images(nhwc(imgs), list("abcd"), cfg, params)
+        batch = encoder.encoder_forward(imgs, cfg, params)
         assert len(np.unique(batch, axis=0)) == 4
 
     @pytest.mark.parametrize("variant", ["conv", "ics"])
     def test_refuses_batch_of_one_norm_of_1x1_map(self, variant):
         """Batch norm over one image's 1x1 map also outputs beta: encoding
-        16x16 images one at a time in batch mode gave them one feature."""
+        16x16 images one at a time with whole-batch statistics gave them
+        one feature."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = stride16_cfg(variant, (16, 16))
         params = encoder.init_params(3, cfg)
         imgs = rng.uniform(0, 1, (3, 3, 16, 16))
         for i in range(3):
             with pytest.raises(ConfigError):
-                encoder.encode_batch(imgs[i:i + 1], cfg, params, mode="batch")
+                encoder.encoder_forward(imgs[i:i + 1], cfg, params)
 
 
 class TestPermutationEquivariance:

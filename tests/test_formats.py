@@ -44,6 +44,20 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(loaded.features,
                                       feats.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("id_length", [1, 2, 3, 4])
+    def test_features_block_at_any_alignment(self, tmp_path, id_length):
+        """The features block starts at 18 + len(id) bytes, aligned to 4 or
+        not; its float32 values, signed zeros and subnormals included, come
+        back bitwise in a writable float64 array."""
+        values = np.array([[-0.0, 1e-45, -3.5], [2.0**-126, 0.1, 3.4e38]], dtype=np.float32)
+        path = tmp_path / "e.emb"
+        formats.write_embeddings(
+            EmbeddingSet(["a" * id_length, "b" * id_length], values.astype(np.float64)), path)
+        loaded = formats.read_embeddings(path).features
+        assert loaded.flags.writeable
+        np.testing.assert_array_equal(loaded.view(np.uint64),
+                                      values.astype(np.float64).view(np.uint64))
+
     def test_empty_set(self, tmp_path):
         path = tmp_path / "empty.emb"
         formats.write_embeddings(EmbeddingSet([], np.zeros((0, 4))), path)

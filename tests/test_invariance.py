@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cfs_curate import encoder, formats, invariance, stems
-from cfs_curate.errors import DegenerateFeatureError, DimensionError, RangeError
+from cfs_curate import encoder, formats, invariance, pipeline, stems
+from cfs_curate.errors import ConfigError, DegenerateFeatureError, DimensionError, RangeError
 
 from conftest import assert_bitwise_equal, single_image_augment, single_image_resize_bilinear
 
@@ -249,14 +249,6 @@ class TestCkaLinear:
             invariance.cka_linear(np.ones((1, 3)), np.ones((1, 3)))
 
 
-class TestBatchConversion:
-    def test_round_trip(self):
-        images = sample_images()
-        batch = invariance.batch_from_images(images)
-        assert batch.shape == (6, 3, 16, 16)
-        np.testing.assert_array_equal(batch.transpose(0, 2, 3, 1), images)
-
-
 class TestInvarianceReport:
     def test_identity_augmentation_scores_one(self):
         config, params = small_model()
@@ -288,3 +280,36 @@ class TestInvarianceReport:
         b = invariance.invariance_report(config, params, images, model_id="m", corpus_id="c")
         assert a == b
         assert a.model_id == "m" and a.corpus_id == "c"
+
+    def test_unknown_mode_rejected(self):
+        config, params = small_model()
+        with pytest.raises(ConfigError):
+            invariance.invariance_report(config, params, sample_images(), mode="stream")
+
+    @pytest.mark.parametrize("shape", [(6, 16, 16), (1, 16, 16, 3), (6, 3, 16, 16)])
+    def test_not_a_corpus_of_rgb_images_rejected(self, shape):
+        config, params = small_model()
+        with pytest.raises(DimensionError, match=r"at least 2 \(H, W, 3\) images"):
+            invariance.invariance_report(config, params, np.full(shape, 0.5))
+
+    def test_per_image_mode_scores_equal_corpus_embedding(self):
+        """mode="per_image" encodes in one pass what embed_images encodes in
+        chunks, bitwise; with a batch-norm stem mode="batch" differs."""
+        stem = stems.StemConfig("ics", embed_dim=16, patch_stride=8)
+        config = encoder.ViTConfig(depth=1, heads=2, embed_dim=16, stem=stem,
+                                   image_size=(16, 16))
+        params = encoder.init_params(0, config)
+        images = sample_images()
+        ids = [str(i) for i in range(len(images))]
+        specs = invariance.default_specs()
+        report = invariance.invariance_report(config, params, images, specs, mode="per_image")
+
+        def features(batch):
+            return pipeline.embed_images(batch, ids, config, params).features
+
+        base = features(images)
+        want = [invariance.cka_linear(base, features(invariance.augment(images, spec)))
+                for spec in specs]
+        assert [e.score for e in report.entries] == want
+        batch = invariance.invariance_report(config, params, images, specs, mode="batch")
+        assert [e.score for e in batch.entries] != want

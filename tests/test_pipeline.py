@@ -6,7 +6,6 @@ import pytest
 from cfs_curate import cfs, encoder, ops, pipeline, selection, synth
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import ConfigError, DimensionError
-from cfs_curate.invariance import batch_from_images
 from conftest import batch_of_one_loop, einsum_conv2d
 
 
@@ -26,7 +25,7 @@ class TestEmbedImages:
         params = encoder.init_params(0, config)
         embedded = pipeline.embed_images(corpus.source_images, corpus.source_ids,
                                          config, params)
-        batch = batch_from_images(corpus.source_images)
+        batch = np.ascontiguousarray(corpus.source_images.transpose(0, 3, 1, 2))
         assert embedded.ids == corpus.source_ids
         np.testing.assert_array_equal(embedded.features,
                                       batch_of_one_loop(batch, config, params))
@@ -52,7 +51,7 @@ class TestEmbedImages:
         new = cfs.score_corpus(*(pipeline.embed_images(images, ids, config, p)
                                  for p in by_seed))
         monkeypatch.setattr(ops, "conv2d", einsum_conv2d)
-        batch = batch_from_images(images)
+        batch = np.ascontiguousarray(images.transpose(0, 3, 1, 2))
         old = cfs.score_corpus(*(EmbeddingSet(ids, batch_of_one_loop(batch, config, p))
                                  for p in by_seed))
         assert new.ids == old.ids
@@ -64,6 +63,13 @@ class TestEmbedImages:
         params = encoder.init_params(0, config)
         with pytest.raises(DimensionError):
             pipeline.embed_images(corpus.source_images, ["only-one"], config, params)
+
+    @pytest.mark.parametrize("shape", [(6, 16, 16), (6, 3, 16, 16), (6, 16, 16, 4)])
+    def test_not_nhwc_rejected(self, shape):
+        config = small_config()
+        params = encoder.init_params(0, config)
+        with pytest.raises(DimensionError, match=r"expected \(N, H, W, 3\) images"):
+            pipeline.embed_images(np.zeros(shape), [str(i) for i in range(6)], config, params)
 
 
 class TestPaletteAlignment:
@@ -100,25 +106,35 @@ class TestPaletteAlignment:
 
 
 class TestProxyPair:
+    """The source proxy and its synthesized target counterpart, as both
+    synthetic-corpus pipelines build them."""
+
     def test_deterministic(self):
         corpus = small_corpus()
-        config = small_config()
-        a = pipeline.make_proxy_pair(0, config, corpus.target_images)
-        b = pipeline.make_proxy_pair(0, config, corpus.target_images)
-        np.testing.assert_array_equal(a.target_palette, b.target_palette)
-        for key in a.params:
-            np.testing.assert_array_equal(a.params[key], b.params[key])
+        a = pipeline._embed_under_both(corpus, 0)
+        b = pipeline._embed_under_both(corpus, 0)
+        assert a[0] == b[0]
+        for key in a[1]:
+            np.testing.assert_array_equal(a[1][key], b[1][key])
+        for x, y in zip(a[2:], b[2:]):
+            assert x.ids == y.ids
+            np.testing.assert_array_equal(x.features, y.features)
 
     def test_embed_source_under_both(self):
+        """The source view is the corpus as encoded; the target view is
+        the corpus aligned to the target palette, then encoded."""
         corpus = small_corpus()
-        config = small_config()
-        pair = pipeline.make_proxy_pair(0, config, corpus.target_images)
-        by_s, by_t = pipeline.embed_source_under_both(
-            pair, corpus.source_images, corpus.source_ids
-        )
+        config, params, by_s, by_t = pipeline._embed_under_both(corpus, 0)
+        assert config.stem.variant == "patchify"
         assert by_s.ids == by_t.ids == corpus.source_ids
-        assert by_s.features.shape == by_t.features.shape == (6, 16)
+        assert by_s.features.shape == by_t.features.shape == (6, 32)
         assert not np.array_equal(by_s.features, by_t.features)
+        aligned = pipeline.align_channel_means(
+            corpus.source_images, pipeline.palette_mean(corpus.target_images))
+        for view, images in ((by_s, corpus.source_images), (by_t, aligned)):
+            np.testing.assert_array_equal(
+                view.features, pipeline.embed_images(images, corpus.source_ids,
+                                                     config, params).features)
 
 
 class TestEndToEnd:

@@ -24,6 +24,10 @@ from .errors import ConfigError, DimensionError
 from .ops import GradPair
 from .stems import StemConfig
 
+# fixed as in the standard ViT: MLP width 4 * embed_dim, layer-norm eps 1e-5
+MLP_RATIO = 4
+LAYER_NORM_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class ViTConfig:
@@ -32,8 +36,6 @@ class ViTConfig:
     embed_dim: int
     stem: StemConfig
     image_size: tuple[int, int]
-    mlp_ratio: float = 4.0
-    eps: float = 1e-5
 
     def __post_init__(self):
         if self.depth < 1 or self.heads < 1:
@@ -49,8 +51,6 @@ class ViTConfig:
         p = self.stem.patch_stride
         if h < p or w < p or h % p or w % p:
             raise ConfigError(f"image size {h}x{w} not divisible by patch stride {p}")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
 
     @property
     def tokens(self) -> int:
@@ -60,7 +60,7 @@ class ViTConfig:
 
     @property
     def mlp_hidden(self) -> int:
-        return int(round(self.embed_dim * self.mlp_ratio))
+        return MLP_RATIO * self.embed_dim
 
 
 def init_params(seed: int, config: ViTConfig) -> dict[str, np.ndarray]:
@@ -128,7 +128,7 @@ def _attention_forward(y, params, prefix, heads):
 
     q, k, v = split(qkv[..., :d]), split(qkv[..., d:2 * d]), split(qkv[..., 2 * d:])
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh)
-    attn = ops.softmax(scores, axis=-1)
+    attn = ops.softmax(scores)
     ctx = attn @ v
     merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, t, d)
     out = merged @ params[f"{prefix}.attn_out_kernel"] + params[f"{prefix}.attn_out_bias"]
@@ -147,7 +147,7 @@ def _attention_backward(grad_out, cache, params, prefix, heads):
     dctx = np.ascontiguousarray(dmerged.reshape(b, t, heads, dh).transpose(0, 2, 1, 3))
     dattn = dctx @ v.swapaxes(-1, -2)
     dv = attn.swapaxes(-1, -2) @ dctx
-    dscores = ops.softmax_backward(dattn, attn, axis=-1)
+    dscores = ops.softmax_backward(dattn, attn)
     dq = dscores @ k / np.sqrt(dh)
     dk = dscores.swapaxes(-1, -2) @ q / np.sqrt(dh)
 
@@ -193,13 +193,13 @@ def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
         prefix = f"block{i}"
         y, ln1_cache = ops.normalize_cached(
             x, "layer", params[f"{prefix}.ln1_gamma"], params[f"{prefix}.ln1_beta"],
-            config.eps,
+            LAYER_NORM_EPS,
         )
         attn_out, attn_cache = _attention_forward(y, params, prefix, config.heads)
         x_mid = x + attn_out
         z, ln2_cache = ops.normalize_cached(
             x_mid, "layer", params[f"{prefix}.ln2_gamma"], params[f"{prefix}.ln2_beta"],
-            config.eps,
+            LAYER_NORM_EPS,
         )
         pre_act = z @ params[f"{prefix}.mlp_in_kernel"] + params[f"{prefix}.mlp_in_bias"]
         hidden = ops.activation(pre_act, "gelu")
@@ -209,7 +209,7 @@ def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
         x = x_out
 
     normed, final_cache = ops.normalize_cached(
-        x, "layer", params["final_gamma"], params["final_beta"], config.eps
+        x, "layer", params["final_gamma"], params["final_beta"], LAYER_NORM_EPS
     )
     features = normed[:, 0, :].copy()
     cache = (config, stem_cache, block_caches, final_cache, normed.shape)

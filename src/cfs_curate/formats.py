@@ -59,7 +59,7 @@ def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
         raise FormatError(f"cannot write embeddings to {path}: "
                           f"{len(embedding_set)} records of dimension 0")
     with np.errstate(over="ignore"):
-        features = embedding_set.features.astype("<f4")
+        features = embedding_set.features.astype("<f4", order="C")
     if not np.isfinite(features).all():
         raise FormatError(f"cannot write embeddings to {path}: a feature overflows float32")
     blob = bytearray()
@@ -73,9 +73,9 @@ def write_embeddings(embedding_set: EmbeddingSet, path) -> None:
                               f"id {record_id!r} is not valid UTF-8") from exc
         blob += _ID_LENGTH.pack(len(data))
         blob += data
-    blob += features.tobytes(order="C")
+    blob += memoryview(features)
     try:
-        path.write_bytes(bytes(blob))
+        path.write_bytes(blob)
     except OSError as exc:
         raise FormatError(f"cannot write embeddings to {path}: {exc}") from exc
 
@@ -173,12 +173,11 @@ def read_image_ppm(path) -> np.ndarray:
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
     need = width * height * 3
-    payload = data[offset:]
-    if len(payload) != need:
+    if len(data) - offset != need:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {need}"
+            f"{path}: payload is {len(data) - offset} bytes, expected {need}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    pixels = np.frombuffer(data, np.uint8, need, offset).reshape(height, width, 3)
     return pixels.astype(np.float64) / 255.0
 
 

@@ -7,8 +7,9 @@ respect to the inputs, derived by hand and validated against
 these transforms explicitly.
 
 Conventions: images and feature maps are ``(B, C, H, W)``, convolution is
-cross-correlation, normalization uses the biased (population) variance of
-the current batch.
+unpadded cross-correlation (the stems pad by edge replication themselves,
+see :func:`stems._edge_pad`), softmax runs over the last axis, and
+normalization uses the biased (population) variance of the current batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
 
 NORM_MODES = ("batch", "instance", "layer")
-ACTIVATION_KINDS = ("relu", "gelu")
+# central-difference step of fd_gradient and the denominator floor of
+# max_relative_error, so coordinates where both gradients vanish (dead
+# relu paths) do not divide by zero
+FD_STEP = 1e-4
+FD_ERROR_FLOOR = 1e-6
 
 
 @dataclass
@@ -42,41 +47,32 @@ class GradPair:
 # conv2d
 
 
-def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Unfold a (B, C, H, W) array into (B, C*kh*kw, L) columns.
 
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Unfold a padded (B, C, Hp, Wp) array into (B, C*kh*kw, L) columns.
-
-    One read-only strided view (b, c, ki, kj, oi, oj) -> xp[b, c,
+    One read-only strided view (b, c, ki, kj, oi, oj) -> x[b, c,
     oi*stride + ki, oj*stride + kj]. The reshape copies it in row-major
-    order; a 1x1 kernel at stride 1 needs no copy and stays a view of xp.
+    order; a 1x1 kernel at stride 1 needs no copy and stays a view of x.
     """
-    b, c, hp, wp = xp.shape
-    sb, sc, sh, sw = xp.strides
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
+    b, c, h, w = x.shape
+    sb, sc, sh, sw = x.strides
+    h_out = (h - kh) // stride + 1
+    w_out = (w - kw) // stride + 1
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, c, kh, kw, h_out, w_out),
+        x, shape=(b, c, kh, kw, h_out, w_out),
         strides=(sb, sc, sh, sw, sh * stride, sw * stride), writeable=False,
     )
     return windows.reshape(b, c * kh * kw, h_out * w_out)
 
 
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """2-D cross-correlation of ``(B, C, H, W)`` with ``(O, C, kh, kw)``.
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Unpadded 2-D cross-correlation of ``(B, C, H, W)`` with ``(O, C, kh, kw)``.
 
-    Output spatial size is ``floor((H + 2*pad - kh) / stride) + 1`` (same
-    for width); trailing rows/columns that do not fit a window are dropped.
-    Each sample is its own GEMM, so ``conv2d(x)[i]`` is bitwise equal to
-    ``conv2d(x[i:i+1])[0]`` whatever else is in the batch.
+    Output spatial size is ``(H - kh) // stride + 1`` (same for width);
+    trailing rows/columns that do not fit a window are dropped. Callers
+    that want a border pad the input first. Each sample is its own GEMM,
+    so ``conv2d(x)[i]`` is bitwise equal to ``conv2d(x[i:i+1])[0]``
+    whatever else is in the batch.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
@@ -88,34 +84,22 @@ def conv2d(
         raise DimensionError(f"kernel expects {kc} channels, input has {c}")
     if bias.shape != (o,):
         raise DimensionError(f"bias must have shape ({o},), got {bias.shape}")
-    if stride < 1 or pad < 0:
-        raise RangeError("stride must be >= 1 and pad >= 0")
-    if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise DimensionError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
-        )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride)
+    if stride < 1:
+        raise RangeError("stride must be >= 1")
+    if h < kh or w < kw:
+        raise DimensionError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    cols = _im2col(x, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
     out = np.matmul(kmat, cols) + bias[None, :, None]
-    h_out = _conv_out_size(h, kh, stride, pad)
-    w_out = _conv_out_size(w, kw, stride, pad)
-    return out.reshape(b, o, h_out, w_out)
+    return out.reshape(b, o, (h - kh) // stride + 1, (w - kw) // stride + 1)
 
 
-def conv2d_backward(
-    grad_out: np.ndarray,
-    x: np.ndarray,
-    kernel: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-):
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray, stride: int = 1):
     """Gradients of conv2d w.r.t. input, kernel, and bias."""
-    b, c, h, w = x.shape
+    b, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
     h_out, w_out = grad_out.shape[2], grad_out.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride)
+    cols = _im2col(x, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
     gmat = grad_out.reshape(b, o, h_out * w_out)
 
@@ -126,13 +110,12 @@ def conv2d_backward(
     # one strided slice-add per kernel tap, in (ki, kj) order; windows
     # overlap when stride < kernel size, and the taps accumulate there
     dcols = dcols.reshape(b, c, kh, kw, h_out, w_out)
-    dxp = np.zeros_like(xp)
+    dx = np.zeros_like(x)
     for ki in range(kh):
         for kj in range(kw):
-            dxp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += (
+            dx[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += (
                 dcols[:, :, ki, kj]
             )
-    dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
     return dx, dkernel, dbias
 
 
@@ -233,18 +216,16 @@ def activation_backward(grad_out: np.ndarray, x: np.ndarray, kind: str) -> np.nd
 # softmax
 
 
-def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Stabilized softmax along ``axis``; slices sum to 1."""
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"axis {axis} invalid for shape {x.shape}")
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stabilized softmax along the last axis; slices sum to 1."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(grad_out: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+def softmax_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of softmax given its output ``y``."""
-    inner = (grad_out * y).sum(axis=axis, keepdims=True)
+    inner = (grad_out * y).sum(axis=-1, keepdims=True)
     return y * (grad_out - inner)
 
 
@@ -252,14 +233,13 @@ def softmax_backward(grad_out: np.ndarray, y: np.ndarray, axis: int) -> np.ndarr
 # finite-difference oracle
 
 
-def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function, coordinate by coordinate.
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function at step ``FD_STEP``,
+    coordinate by coordinate.
 
     Independent of every analytic backward in this module; used as the
     reference they are checked against.
     """
-    if h <= 0:
-        raise RangeError("finite-difference step must be positive")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
@@ -267,24 +247,21 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     pflat = probe.reshape(-1)
     for i in range(pflat.size):
         orig = pflat[i]
-        pflat[i] = orig + h
+        pflat[i] = orig + FD_STEP
         up = float(f(probe))
-        pflat[i] = orig - h
+        pflat[i] = orig - FD_STEP
         down = float(f(probe))
         pflat[i] = orig
-        flat[i] = (up - down) / (2.0 * h)
+        flat[i] = (up - down) / (2.0 * FD_STEP)
     return grad
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """Worst-case elementwise relative discrepancy between two gradients.
-
-    The denominator is floored so coordinates where both gradients vanish
-    (dead relu paths) do not divide by zero.
-    """
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst-case elementwise relative discrepancy between two gradients,
+    with the denominator floored at ``FD_ERROR_FLOOR``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), FD_ERROR_FLOOR)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

@@ -21,6 +21,8 @@ from .errors import DegenerateFeatureError, RangeError
 STRATEGIES = ("random", "cluster", "cfs")
 # feature rows per cosine block in _max_cosine_to_rows
 BLOCK_ROWS = 256
+# kmeans_fit stops once no center moves farther than this in a round
+KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ def select_random(ids, ratio: float, seed: int) -> list[str]:
     return sorted(pool[i] for i in picks)
 
 
-def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6,
+def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, *,
                history: list | None = None) -> np.ndarray:
     """Lloyd's algorithm from a seeded D^2-weighted initialization.
 
-    Stops when the largest center shift drops below ``tol`` or after
+    Stops when the largest center shift drops below ``KMEANS_TOL`` or after
     ``max_iter`` rounds. If ``history`` is given, the assignment objective
     (summed squared distance of each point to its assigned center) is
     appended each round.
@@ -129,7 +131,7 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e
         new_centers[kept] = sums[kept] / counts[kept, None]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return centers
 

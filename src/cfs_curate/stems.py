@@ -230,9 +230,7 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
     for i, out_c in enumerate(config.channel_ladder):
         kernel = params[f"conv{i}_kernel"]
         padded = _edge_pad(x, LADDER_PAD)
-        conv_out = ops.conv2d(
-            padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE, pad=0
-        )
+        conv_out = ops.conv2d(padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE)
         gamma = params[f"norm{i}_gamma"]
         beta = params[f"norm{i}_beta"]
         half = out_c // 2 if i < config.split_layers else 0
@@ -248,8 +246,7 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
         cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
         x = act
     cache.proj_in = x
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"],
-                      stride=config.proj_stride, pad=0)
+    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=config.proj_stride)
     cache.map_hw = fmap.shape[2:]
     return _tokens_from_map(fmap), cache
 
@@ -258,7 +255,7 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
     """Map a token-sequence gradient back to image and parameter gradients."""
     grad_map = _map_from_tokens(grad_tokens, *cache.map_hw)
     grad, dk, db = ops.conv2d_backward(
-        grad_map, cache.proj_in, params["proj_kernel"], stride=cache.config.proj_stride, pad=0
+        grad_map, cache.proj_in, params["proj_kernel"], stride=cache.config.proj_stride
     )
     grads = {"proj_kernel": dk, "proj_bias": db}
     for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
@@ -269,9 +266,7 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
         grad = np.concatenate([d_in, d_bn], axis=1)
         grads[f"norm{i}_gamma"] = np.concatenate([dg_in, dg_bn])
         grads[f"norm{i}_beta"] = np.concatenate([db_in, db_bn])
-        grad, dk, db = ops.conv2d_backward(
-            grad, padded, kernel, stride=LADDER_STRIDE, pad=0
-        )
+        grad, dk, db = ops.conv2d_backward(grad, padded, kernel, stride=LADDER_STRIDE)
         grads[f"conv{i}_kernel"] = dk
         grads[f"conv{i}_bias"] = db
         grad = _edge_pad_backward(grad, LADDER_PAD, in_h, in_w)

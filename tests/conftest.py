@@ -37,16 +37,15 @@ def kink_safe_images(rng, stem_config, stem_params, shape, band=1e-3, max_tries=
     raise AssertionError(f"no kink-safe batch found in {max_tries} tries")
 
 
-def einsum_conv2d(x, kernel, bias, stride=1, pad=0):
+def einsum_conv2d(x, kernel, bias, stride=1):
     """ops.conv2d as computed before it became one GEMM per sample: a single
     batched einsum, whose rows can differ from single-sample results by a
     few ulps at large K. Reference for the pre-batching encoder."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     o, c, kh, kw = kernel.shape
-    cols = ops._im2col(xp, kh, kw, stride)
+    cols = ops._im2col(x, kh, kw, stride)
     out = np.einsum("ok,bkl->bol", kernel.reshape(o, c * kh * kw), cols, optimize=True)
-    h_out = (xp.shape[2] - kh) // stride + 1
-    w_out = (xp.shape[3] - kw) // stride + 1
+    h_out = (x.shape[2] - kh) // stride + 1
+    w_out = (x.shape[3] - kw) // stride + 1
     return (out + bias[None, :, None]).reshape(x.shape[0], o, h_out, w_out)
 
 
@@ -56,15 +55,14 @@ def batch_of_one_loop(images, config, params):
                      for i in range(images.shape[0])])
 
 
-def add_at_conv2d_backward(grad_out, x, kernel, stride=1, pad=0):
+def add_at_conv2d_backward(grad_out, x, kernel, stride=1):
     """ops.conv2d_backward as computed before its input gradient became
     kh*kw strided slice-adds: one np.add.at scatter of every column
-    gradient into the padded input. Reference for bitwise equality."""
-    b, c, h, w = x.shape
+    gradient into the input. Reference for bitwise equality."""
+    b, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
     h_out, w_out = grad_out.shape[2], grad_out.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = ops._im2col(xp, kh, kw, stride)
+    cols = ops._im2col(x, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
     gmat = grad_out.reshape(b, o, h_out * w_out)
     dbias = grad_out.sum(axis=(0, 2, 3))
@@ -77,9 +75,8 @@ def add_at_conv2d_backward(grad_out, x, kernel, stride=1, pad=0):
     oj = stride * np.tile(np.arange(w_out), h_out)
     rows = ki[:, None] + oi[None, :]
     colidx = kj[:, None] + oj[None, :]
-    dxp = np.zeros_like(xp)
-    np.add.at(dxp, (slice(None), chan, rows, colidx), dcols)
-    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    dx = np.zeros_like(x)
+    np.add.at(dx, (slice(None), chan, rows, colidx), dcols)
     return dx, dkernel, dbias
 
 
@@ -246,7 +243,7 @@ def branched_stem_forward_cached(images, config, params, per_sample=False):
     if config.variant == "patchify":
         fmap = ops.conv2d(
             images, params["patch_kernel"], params["patch_bias"],
-            stride=config.patch_stride, pad=0,
+            stride=config.patch_stride,
         )
         cache.map_hw = fmap.shape[2:]
         return stems._tokens_from_map(fmap), cache
@@ -266,7 +263,7 @@ def branched_stem_forward_cached(images, config, params, per_sample=False):
         kernel = params[f"conv{i}_kernel"]
         padded = stems._edge_pad(x, stems.LADDER_PAD)
         conv_out = ops.conv2d(
-            padded, kernel, params[f"conv{i}_bias"], stride=stems.LADDER_STRIDE, pad=0
+            padded, kernel, params[f"conv{i}_bias"], stride=stems.LADDER_STRIDE
         )
         gamma = params[f"norm{i}_gamma"]
         beta = params[f"norm{i}_beta"]
@@ -289,7 +286,7 @@ def branched_stem_forward_cached(images, config, params, per_sample=False):
         cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
         x = act
     cache.proj_in = x
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=1, pad=0)
+    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=1)
     cache.map_hw = fmap.shape[2:]
     return stems._tokens_from_map(fmap), cache
 
@@ -303,13 +300,13 @@ def branched_stem_backward(grad_tokens, cache, params):
     if config.variant == "patchify":
         dx, dk, db = ops.conv2d_backward(
             grad_map, cache.images, params["patch_kernel"],
-            stride=config.patch_stride, pad=0,
+            stride=config.patch_stride,
         )
         grads["patch_kernel"] = dk
         grads["patch_bias"] = db
         return GradPair(input_grad=dx, param_grads=grads)
 
-    dx, dk, db = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1, 0)
+    dx, dk, db = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1)
     grads["proj_kernel"] = dk
     grads["proj_bias"] = db
     grad = dx
@@ -327,7 +324,7 @@ def branched_stem_backward(grad_tokens, cache, params):
             grads[f"norm{i}_gamma"] = dg
             grads[f"norm{i}_beta"] = dbeta
         grad, dk, db = ops.conv2d_backward(
-            grad, padded, kernel, stride=stems.LADDER_STRIDE, pad=0
+            grad, padded, kernel, stride=stems.LADDER_STRIDE
         )
         grads[f"conv{i}_kernel"] = dk
         grads[f"conv{i}_bias"] = db

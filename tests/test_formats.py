@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,31 @@ class TestEmbeddingFile:
         import struct
         assert data[20:] == struct.pack("<f", 1.0)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_features_write_row_major(self, tmp_path, layout):
+        base = np.random.default_rng(3).normal(size=(5, 8))
+        view = np.asfortranarray(base) if layout == "fortran" else base[::-1, ::2]
+        ids = [f"r{i}" for i in range(5)]
+        formats.write_embeddings(EmbeddingSet(ids, view), tmp_path / "v.emb")
+        formats.write_embeddings(EmbeddingSet(ids, view.copy(order="C")), tmp_path / "c.emb")
+        assert (tmp_path / "v.emb").read_bytes() == (tmp_path / "c.emb").read_bytes()
+
+    def test_write_peak_is_one_float32_copy_and_the_file(self, tmp_path):
+        """The file is assembled in one bytearray that takes the float32
+        features from a buffer view and is written as is; a tobytes() or
+        bytes() copy of either would add a whole block to the peak."""
+        n, d = 20_000, 32
+        original = EmbeddingSet([f"rec-{i:06d}" for i in range(n)],
+                                np.random.default_rng(0).normal(size=(n, d)))
+        path = tmp_path / "big.emb"
+        tracemalloc.start()
+        try:
+            formats.write_embeddings(original, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (n * d * 4 + path.stat().st_size)
+
 
 class TestPpm:
     def test_white_pixel(self, tmp_path):
@@ -192,13 +218,13 @@ class TestPpm:
     def test_short_payload(self, tmp_path):
         path = tmp_path / "s.ppm"
         path.write_bytes(b"P6 2 1 255\n" + b"\x00" * 5)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="payload is 5 bytes, expected 6"):
             formats.read_image_ppm(path)
 
     def test_long_payload(self, tmp_path):
         path = tmp_path / "s.ppm"
         path.write_bytes(b"P6 1 1 255\n" + b"\x00" * 4)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="payload is 4 bytes, expected 3"):
             formats.read_image_ppm(path)
 
     def test_comments_in_header(self, tmp_path):

@@ -5,7 +5,8 @@ difference of the two peaks over the difference of the sizes is its
 slope. The budgets are the slopes this helper measured at d = 32 before
 the score report was written from columns (score 1258, filter 527
 B/record), plus a margin of 10%. Written from columns, score reads
-about 918 and filter about 508 B/record.
+about 918 and filter about 508 B/record. The select, hdh and cka budgets
+are their measured slopes plus 10%; each test's docstring gives the slope.
 """
 
 import struct
@@ -19,21 +20,28 @@ SIZES = (5_000, 20_000)
 DIM = 32
 SCORE_BUDGET = 1400  # bytes per added record
 FILTER_BUDGET = 580
+SELECT_BUDGET = 127_200  # bytes per --n-per-domain step
+HDH_BUDGET = 9_610  # bytes per record in each file
+CKA_BUDGET = 238_600  # bytes per image
 
 
-def bytes_per_record(argv_for) -> float:
+def bytes_per_record(argv_for, sizes=SIZES) -> float:
     """Slope of the tracemalloc peak of ``cli.main(argv_for(n))`` over the
-    two sizes; ``argv_for`` writes its inputs before tracing starts."""
+    two sizes; ``argv_for`` writes its inputs before tracing starts. The
+    first size runs once untraced, so one-time costs of a process's first
+    call (lazy imports, caches) stay out of its peak."""
     peaks = []
-    for n in SIZES:
+    for n in sizes:
         argv = argv_for(n)
+        if not peaks:
+            assert cli.main(argv) == 0
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    return (peaks[1] - peaks[0]) / (SIZES[1] - SIZES[0])
+    return (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
 
 
 def write_pair(directory, n: int):
@@ -64,3 +72,37 @@ def test_filter_bytes_per_record_within_budget(tmp_path):
         return ["filter", str(report), "--ratio", "0.5", "--out", str(tmp_path / "kept.json")]
 
     assert bytes_per_record(argv_for) <= FILTER_BUDGET
+
+
+def test_select_bytes_per_step_within_budget(tmp_path):
+    """About 115.6 KB per --n-per-domain step at k = 8 (16 -> 64)."""
+    def argv_for(n):
+        return ["select", "--seed", "3", "--n-per-domain", str(n), "--k", "8",
+                "--out", str(tmp_path / f"select-{n}.json")]
+
+    assert bytes_per_record(argv_for, sizes=(16, 64)) <= SELECT_BUDGET
+
+
+def test_hdh_bytes_per_record_within_budget(tmp_path):
+    """About 8.73 KB per record in each file at --max-thresholds 16 and
+    d = 32 (500 -> 2000 records); the two float64 prediction matrices of
+    the 514 stumps take 8224 B of it."""
+    def argv_for(n):
+        return ["hdh", *write_pair(tmp_path, n), "--max-thresholds", "16",
+                "--out", str(tmp_path / f"hdh-{n}.json")]
+
+    assert bytes_per_record(argv_for, sizes=(500, 2000)) <= HDH_BUDGET
+
+
+def test_cka_bytes_per_image_within_budget(tmp_path):
+    """About 216.9 KB per 32x32 image for the conv stem (64 -> 256 images).
+    Batch statistics need the whole corpus in one forward pass, so the
+    slope is inherent to the report; the budget documents it."""
+    def argv_for(n):
+        images = tmp_path / f"img-{n}"
+        assert cli.main(["synth", "--seed", "0", "--n-per-domain", str(n),
+                         "--out", str(images)]) == 0
+        return ["cka", *map(str, sorted(images.glob("src-*.ppm"))), "--stem", "conv",
+                "--out", str(tmp_path / f"cka-{n}.json")]
+
+    assert bytes_per_record(argv_for, sizes=(64, 256)) <= CKA_BUDGET

@@ -19,6 +19,11 @@ from conftest import add_at_conv2d_backward, assert_bitwise_equal, sliding_windo
 RNG_SEED = 42
 
 
+def zero_pad(x, pad):
+    """Zero-pad the spatial axes of (B, C, H, W); conv2d itself is unpadded."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
 def naive_conv2d(x, kernel, bias, stride, pad):
     """Direct four-loop convolution used as an independent oracle."""
     b, c, h, w = x.shape
@@ -48,7 +53,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 9, 7))
         k = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = ops.conv2d(x, k, b, stride=stride, pad=pad)
+        got = ops.conv2d(zero_pad(x, pad), k, b, stride=stride)
         np.testing.assert_allclose(got, naive_conv2d(x, k, b, stride, pad), atol=1e-12)
 
     def test_rows_independent_of_batch_at_large_k(self):
@@ -72,22 +77,26 @@ class TestConv2d:
             ops.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
 
     def test_gradients_match_fd(self):
+        """Through a zero pad of 1, so the border taps are differentiated too;
+        the input gradient is the padded gradient's interior."""
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(2, 2, 6, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
-        w = rng.normal(size=ops.conv2d(x, k, bias, stride=2, pad=1).shape)
+        xp = zero_pad(x, 1)
+        w = rng.normal(size=ops.conv2d(xp, k, bias, stride=2).shape)
 
         def loss_x(m):
-            return float(np.sum(ops.conv2d(m, k, bias, stride=2, pad=1) * w))
+            return float(np.sum(ops.conv2d(zero_pad(m, 1), k, bias, stride=2) * w))
 
         def loss_k(m):
-            return float(np.sum(ops.conv2d(x, m, bias, stride=2, pad=1) * w))
+            return float(np.sum(ops.conv2d(xp, m, bias, stride=2) * w))
 
         def loss_b(m):
-            return float(np.sum(ops.conv2d(x, k, m, stride=2, pad=1) * w))
+            return float(np.sum(ops.conv2d(xp, k, m, stride=2) * w))
 
-        dx, dk, db = ops.conv2d_backward(w, x, k, stride=2, pad=1)
+        dxp, dk, db = ops.conv2d_backward(w, xp, k, stride=2)
+        dx = dxp[:, :, 1:-1, 1:-1]
         assert ops.max_relative_error(dx, ops.fd_gradient(loss_x, x)) < 1e-5
         assert ops.max_relative_error(dk, ops.fd_gradient(loss_k, k)) < 1e-5
         assert ops.max_relative_error(db, ops.fd_gradient(loss_b, bias)) < 1e-5
@@ -95,8 +104,8 @@ class TestConv2d:
     def test_backward_bitwise_equal_to_add_at_scatter(self):
         """The slice-add input gradient adds each window's taps in the same
         (ki, kj) order as the former np.add.at scatter, so all three
-        gradients match it bit for bit, overlapping windows and padding
-        included."""
+        gradients match it bit for bit, overlapping windows and zero-padded
+        inputs included."""
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(60):
             kh, kw = rng.integers(1, 5, size=2)
@@ -105,10 +114,11 @@ class TestConv2d:
             h = int(rng.integers(max(1, kh - 2 * pad), 10))
             w = int(rng.integers(max(1, kw - 2 * pad), 10))
             x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 4)), h, w))
+            x = zero_pad(x, pad)
             k = rng.normal(size=(int(rng.integers(1, 4)), x.shape[1], kh, kw))
-            g = rng.normal(size=ops.conv2d(x, k, np.zeros(k.shape[0]), stride, pad).shape)
-            got = ops.conv2d_backward(g, x, k, stride=stride, pad=pad)
-            want = add_at_conv2d_backward(g, x, k, stride=stride, pad=pad)
+            g = rng.normal(size=ops.conv2d(x, k, np.zeros(k.shape[0]), stride).shape)
+            got = ops.conv2d_backward(g, x, k, stride=stride)
+            want = add_at_conv2d_backward(g, x, k, stride=stride)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -135,7 +145,7 @@ class TestIm2colOracle:
     def test_columns_bitwise_equal(self, kh, kw, stride_offset, pad):
         stride = max(1, kh + stride_offset)
         for x in im2col_inputs(np.random.default_rng(RNG_SEED)):
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+            xp = zero_pad(x, pad)
             if xp.shape[2] < kh or xp.shape[3] < kw:
                 continue
             cols = ops._im2col(xp, kh, kw, stride)
@@ -146,17 +156,18 @@ class TestIm2colOracle:
     def test_conv2d_and_backward_bitwise_equal(self, monkeypatch, kh, kw, stride, pad):
         rng = np.random.default_rng(RNG_SEED + 1)
         for x in im2col_inputs(rng):
-            if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
+            x = zero_pad(x, pad)
+            if x.shape[2] < kh or x.shape[3] < kw:
                 continue
             kernel = rng.normal(size=(4, x.shape[1], kh, kw))
             bias = rng.normal(size=4)
-            out = ops.conv2d(x, kernel, bias, stride=stride, pad=pad)
+            out = ops.conv2d(x, kernel, bias, stride=stride)
             grad_out = rng.normal(size=out.shape)
-            grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride, pad=pad)
+            grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride)
             with monkeypatch.context() as patch:
                 patch.setattr(ops, "_im2col", sliding_window_im2col)
-                old_out = ops.conv2d(x, kernel, bias, stride=stride, pad=pad)
-                old_grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride, pad=pad)
+                old_out = ops.conv2d(x, kernel, bias, stride=stride)
+                old_grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride)
             assert_bitwise_equal(out, old_out)
             for got, want in zip(grads, old_grads):
                 assert_bitwise_equal(got, want)
@@ -323,19 +334,19 @@ class TestActivations:
 class TestSoftmax:
     def test_known_values(self):
         """softmax(0, ln 3) = (0.25, 0.75)."""
-        out = ops.softmax(np.array([0.0, np.log(3.0)]), axis=-1)
+        out = ops.softmax(np.array([0.0, np.log(3.0)]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(5, 9)) * 10
-        out = ops.softmax(x, axis=-1)
+        out = ops.softmax(x)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
         assert (out > 0).all()
 
     def test_shift_invariance_handles_large_logits(self):
         x = np.array([1000.0, 1001.0])
-        out = ops.softmax(x, axis=0)
+        out = ops.softmax(x)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
@@ -343,9 +354,9 @@ class TestSoftmax:
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(3, 6))
         w = rng.normal(size=(3, 6))
-        y = ops.softmax(x, axis=-1)
-        dx = ops.softmax_backward(w, y, axis=-1)
-        fd = ops.fd_gradient(lambda m: float(np.sum(ops.softmax(m, axis=-1) * w)), x)
+        y = ops.softmax(x)
+        dx = ops.softmax_backward(w, y)
+        fd = ops.fd_gradient(lambda m: float(np.sum(ops.softmax(m) * w)), x)
         assert ops.max_relative_error(dx, fd) < 1e-5
 
 

@@ -36,6 +36,7 @@ from .invariance import (
     DEFAULT_MAGNITUDES,
     AugmentationSpec,
     augment,
+    default_specs,
     invariance_report,
 )
 from .pipeline import compare_on_synth_corpus, default_vit_config, embed_images
@@ -173,11 +174,10 @@ def _cmd_select(args) -> int:
 
 def _parse_kinds(raw: str | None) -> list[AugmentationSpec]:
     if raw is None:
-        kinds = list(AUGMENTATION_KINDS)
-    else:
-        kinds = [k.strip() for k in raw.split(",") if k.strip()]
-        if not kinds:
-            raise RangeError("--kinds must name at least one augmentation")
+        return default_specs()
+    kinds = [k.strip() for k in raw.split(",") if k.strip()]
+    if not kinds:
+        raise RangeError("--kinds must name at least one augmentation")
     # unknown kinds fail AugmentationSpec validation with a usage error
     return [AugmentationSpec(kind, DEFAULT_MAGNITUDES.get(kind, 0.0)) for kind in kinds]
 

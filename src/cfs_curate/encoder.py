@@ -132,12 +132,12 @@ def _attention_forward(y, params, prefix, heads):
     ctx = attn @ v
     merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, t, d)
     out = merged @ params[f"{prefix}.attn_out_kernel"] + params[f"{prefix}.attn_out_bias"]
-    cache = (y, qkv, q, k, v, attn, merged)
+    cache = (y, q, k, v, attn, merged)
     return out, cache
 
 
 def _attention_backward(grad_out, cache, params, prefix, heads):
-    y, qkv, q, k, v, attn, merged = cache
+    y, q, k, v, attn, merged = cache
     b, t, d = y.shape
     dh = d // heads
 

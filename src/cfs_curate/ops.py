@@ -10,6 +10,7 @@ Conventions: images and feature maps are ``(B, C, H, W)``, convolution is
 unpadded cross-correlation (the stems pad by edge replication themselves,
 see :func:`stems._edge_pad`), softmax runs over the last axis, and
 normalization uses the biased (population) variance of the current batch.
+Caches hold only what the paired backward reads.
 """
 
 from __future__ import annotations
@@ -130,16 +131,16 @@ def _norm_setup(x: np.ndarray, mode: str, gamma: np.ndarray, beta: np.ndarray):
         if x.ndim < 1:
             raise DimensionError("layer normalization needs at least one axis")
         axes = (x.ndim - 1,)
-        nparam = x.shape[-1]
-        pshape = (1,) * (x.ndim - 1) + (nparam,)
+        param_axes = tuple(range(x.ndim - 1))
     else:
         if x.ndim != 4:
             raise DimensionError(
                 f"{mode} normalization expects (B, C, H, W), got {x.shape}"
             )
-        nparam = x.shape[1]
-        pshape = (1, nparam, 1, 1)
         axes = (0, 2, 3) if mode == "batch" else (2, 3)
+        param_axes = (0, 2, 3)
+    nparam = x.shape[-1 if mode == "layer" else 1]
+    pshape = tuple(1 if ax in param_axes else nparam for ax in range(x.ndim))
     if gamma.shape != (nparam,) or beta.shape != (nparam,):
         raise DimensionError(
             f"gamma/beta must have shape ({nparam},), got {gamma.shape} and {beta.shape}"
@@ -149,7 +150,7 @@ def _norm_setup(x: np.ndarray, mode: str, gamma: np.ndarray, beta: np.ndarray):
         count *= x.shape[ax]
     if count == 0:
         raise EmptyInputError(f"{mode} normalization over an empty population")
-    return axes, pshape, count
+    return axes, param_axes, pshape, count
 
 
 def normalize_cached(x, mode, gamma, beta, eps=1e-5):
@@ -159,31 +160,32 @@ def normalize_cached(x, mode, gamma, beta, eps=1e-5):
     ``batch`` reduces over (B, H, W) per channel, ``instance`` over (H, W)
     per sample and channel, ``layer`` over the last axis. Variance is the
     biased estimator of the current data; there are no running statistics.
+    The cache is ``(xhat, inv_std, gamma reshaped to broadcast, axes,
+    param_axes)``: one array of x's size and the per-population scales.
     """
-    axes, pshape, count = _norm_setup(x, mode, gamma, beta)
+    axes, param_axes, pshape, count = _norm_setup(x, mode, gamma, beta)
     mean = x.sum(axis=axes, keepdims=True) / count
-    centered = x - mean
-    var = (centered * centered).sum(axis=axes, keepdims=True) / count
+    xhat = x - mean
+    var = (xhat * xhat).sum(axis=axes, keepdims=True) / count
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = gamma.reshape(pshape) * xhat + beta.reshape(pshape)
-    cache = (xhat, centered, inv_std, gamma, axes, pshape, count)
-    return out, cache
+    xhat *= inv_std
+    gamma = gamma.reshape(pshape)
+    out = gamma * xhat + beta.reshape(pshape)
+    return out, (xhat, inv_std, gamma, axes, param_axes)
 
 
 def normalize_backward(grad_out: np.ndarray, cache):
-    """Gradients of normalize_cached w.r.t. x, gamma, and beta."""
-    xhat, centered, inv_std, gamma, axes, pshape, count = cache
-    param_axes = tuple(i for i in range(grad_out.ndim) if pshape[i] == 1)
+    """Gradients of normalize_cached w.r.t. x, gamma, and beta: with means
+    over the normalized axes and ``dxhat = grad_out * gamma``, ``dx = inv_std
+    * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``. ``dgamma`` and
+    ``dbeta`` sum over the parameter axes: all but the channel or feature axis.
+    """
+    xhat, inv_std, gamma, axes, param_axes = cache
     dgamma = (grad_out * xhat).sum(axis=param_axes)
     dbeta = grad_out.sum(axis=param_axes)
-
-    dxhat = grad_out * gamma.reshape(pshape)
-    dvar = np.sum(dxhat * centered, axis=axes, keepdims=True) * (-0.5) * inv_std**3
-    dmean = np.sum(-dxhat * inv_std, axis=axes, keepdims=True) + dvar * np.mean(
-        -2.0 * centered, axis=axes, keepdims=True
-    )
-    dx = dxhat * inv_std + dvar * 2.0 * centered / count + dmean / count
+    dxhat = grad_out * gamma
+    dx = inv_std * (dxhat - dxhat.mean(axis=axes, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
     return dx, dgamma, dbeta
 
 

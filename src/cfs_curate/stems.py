@@ -167,22 +167,15 @@ def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _edge_pad_backward(grad_padded: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
-    b, c, hp, wp = grad_padded.shape
-    rows = np.clip(np.arange(hp) - pad, 0, h - 1)
-    cols = np.clip(np.arange(wp) - pad, 0, w - 1)
-    dx = np.zeros((b, c, h, w))
-    np.add.at(
-        dx,
-        (
-            np.arange(b)[:, None, None, None],
-            np.arange(c)[None, :, None, None],
-            rows[None, None, :, None],
-            cols[None, None, None, :],
-        ),
-        grad_padded,
-    )
-    return dx
+def _edge_pad_backward(grad: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`_edge_pad`, its fills undone in reverse order: the
+    side columns fold onto the edge columns, then the top and bottom rows
+    onto the edge rows, in place in ``grad``; the interior is copied out."""
+    grad[:, :, :, pad] += grad[:, :, :, :pad].sum(axis=3)
+    grad[:, :, :, pad + w - 1] += grad[:, :, :, pad + w:].sum(axis=3)
+    grad[:, :, pad, pad:pad + w] += grad[:, :, :pad, pad:pad + w].sum(axis=2)
+    grad[:, :, pad + h - 1, pad:pad + w] += grad[:, :, pad + h:, pad:pad + w].sum(axis=2)
+    return grad[:, :, pad:pad + h, pad:pad + w].copy()
 
 
 def _tokens_from_map(fmap: np.ndarray) -> np.ndarray:

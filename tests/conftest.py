@@ -80,6 +80,61 @@ def add_at_conv2d_backward(grad_out, x, kernel, stride=1):
     return dx, dkernel, dbias
 
 
+def add_at_edge_pad_backward(grad_padded: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
+    """stems._edge_pad_backward as computed before the slice folds: one
+    np.add.at scatter of the padded gradient onto the clipped source
+    pixels. Reference within a stated rounding tolerance."""
+    b, c, hp, wp = grad_padded.shape
+    rows = np.clip(np.arange(hp) - pad, 0, h - 1)
+    cols = np.clip(np.arange(wp) - pad, 0, w - 1)
+    dx = np.zeros((b, c, h, w))
+    np.add.at(
+        dx,
+        (
+            np.arange(b)[:, None, None, None],
+            np.arange(c)[None, :, None, None],
+            rows[None, None, :, None],
+            cols[None, None, None, :],
+        ),
+        grad_padded,
+    )
+    return dx
+
+
+def long_form_normalize_cached(x, mode, gamma, beta, eps=1e-5):
+    """ops.normalize_cached as computed before its cache held only what the
+    backward reads: the centered input and the population size cached
+    too. Reference for bitwise-equal outputs."""
+    axes, _, pshape, count = ops._norm_setup(x, mode, gamma, beta)
+    mean = x.sum(axis=axes, keepdims=True) / count
+    centered = x - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) / count
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    out = gamma.reshape(pshape) * xhat + beta.reshape(pshape)
+    cache = (xhat, centered, inv_std, gamma, axes, pshape, count)
+    return out, cache
+
+
+def long_form_normalize_backward(grad_out: np.ndarray, cache):
+    """ops.normalize_backward as computed before the three-term form: the
+    dvar/dmean chain, with the parameter axes guessed as every axis where
+    the broadcast shape is 1 (so one channel gives 0-d dgamma/dbeta).
+    Reference within a stated rounding tolerance."""
+    xhat, centered, inv_std, gamma, axes, pshape, count = cache
+    param_axes = tuple(i for i in range(grad_out.ndim) if pshape[i] == 1)
+    dgamma = (grad_out * xhat).sum(axis=param_axes)
+    dbeta = grad_out.sum(axis=param_axes)
+
+    dxhat = grad_out * gamma.reshape(pshape)
+    dvar = np.sum(dxhat * centered, axis=axes, keepdims=True) * (-0.5) * inv_std**3
+    dmean = np.sum(-dxhat * inv_std, axis=axes, keepdims=True) + dvar * np.mean(
+        -2.0 * centered, axis=axes, keepdims=True
+    )
+    dx = dxhat * inv_std + dvar * 2.0 * centered / count + dmean / count
+    return dx, dgamma, dbeta
+
+
 def loop_kmeans_fit(features, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6,
                     history: list | None = None) -> np.ndarray:
     """selection.kmeans_fit as computed before GEMM-form Lloyd rounds: an

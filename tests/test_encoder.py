@@ -5,7 +5,8 @@ import pytest
 
 from cfs_curate import encoder, ops, pipeline, stems
 from cfs_curate.errors import ConfigError, DimensionError
-from conftest import batch_of_one_loop, einsum_conv2d
+from conftest import (add_at_edge_pad_backward, batch_of_one_loop, einsum_conv2d,
+                      long_form_normalize_backward, long_form_normalize_cached)
 
 RNG_SEED = 42
 
@@ -313,3 +314,68 @@ class TestGradients:
                 analytic = grad.reshape(-1)[j]
                 denom = max(abs(numeric), abs(analytic), 1e-6)
                 assert abs(numeric - analytic) / denom < 1e-4, (key, j)
+
+    @pytest.mark.parametrize("cfg", [
+        encoder.ViTConfig(depth=1, heads=1, embed_dim=1, image_size=(8, 8),
+                          stem=stems.StemConfig("patchify", embed_dim=1, patch_stride=4)),
+        *(encoder.ViTConfig(depth=1, heads=2, embed_dim=16, image_size=(32, 32),
+                            stem=stems.StemConfig(variant, embed_dim=16, patch_stride=16))
+          for variant in stems.VARIANTS),
+    ], ids=["width1", *stems.VARIANTS])
+    def test_gradients_keep_parameter_shapes(self, cfg):
+        """Width 1 makes every layer norm one feature wide; the (2, 4, 8,
+        16) ladder gives the ics stem one-channel normalization groups."""
+        rng = np.random.default_rng(RNG_SEED)
+        params = encoder.init_params(11, cfg)
+        imgs = rng.uniform(0.05, 0.95, (2, 3, *cfg.image_size))
+        _, cache = encoder.encoder_forward_cached(imgs, cfg, params)
+        pair = encoder.encoder_backward(rng.normal(size=(2, cfg.embed_dim)), cache, params)
+        assert pair.input_grad.shape == imgs.shape
+        assert sorted(pair.param_grads) == sorted(params)
+        for key, value in params.items():
+            assert pair.param_grads[key].shape == value.shape, key
+
+
+class TestLongFormOracle:
+    """encoder_backward against the same pass run with the helpers it
+    replaced monkeypatched in: the long-form normalization
+    (conftest.long_form_normalize_*) and the np.add.at edge-pad backward.
+    Features are bitwise equal, and every gradient is within 1e-14 of the
+    call's largest gradient. The ladder conv biases move most relative to
+    themselves: their true gradient is exactly 0, since batch norm
+    removes a per-channel constant. The largest shift (7.8e-15) is at
+    32x16, stride 16, per sample, where the last ladder layer normalizes
+    a two-pixel map and its input gradient nearly cancels."""
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @pytest.mark.parametrize("size,stride,dim", [
+        ((8, 8), 4, 8), ((16, 16), 8, 16), ((32, 16), 16, 32), ((16, 24), 4, 16),
+    ], ids=["8x8-p4-d8", "16x16-p8-d16", "32x16-p16-d32", "16x24-p4-d16"])
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_gradients_match(self, monkeypatch, variant, size, stride, dim, per_sample):
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = encoder.ViTConfig(depth=2, heads=2, embed_dim=dim, image_size=size,
+                                stem=stems.StemConfig(variant, embed_dim=dim,
+                                                      patch_stride=stride))
+        params = encoder.init_params(11, cfg)
+        imgs = rng.uniform(0, 1, (3, 3, *size))
+        w = rng.normal(size=(3, dim))
+
+        def run():
+            features, cache = encoder.encoder_forward_cached(imgs, cfg, params, per_sample)
+            return features, encoder.encoder_backward(w, cache, params)
+
+        features, pair = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "normalize_cached", long_form_normalize_cached)
+            patch.setattr(ops, "normalize_backward", long_form_normalize_backward)
+            patch.setattr(stems, "_edge_pad_backward", add_at_edge_pad_backward)
+            old_features, old_pair = run()
+        assert features.tobytes() == old_features.tobytes()
+        old = dict(old_pair.param_grads, images=old_pair.input_grad)
+        new = dict(pair.param_grads, images=pair.input_grad)
+        assert sorted(new) == sorted(old)
+        largest = max(np.abs(g).max() for g in old.values())
+        for key, value in new.items():
+            assert value.shape == old[key].shape, key
+            assert np.abs(value - old[key]).max() <= 1e-14 * largest, key

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cfs_curate import ops
 from cfs_curate.errors import DimensionError, RangeError
 
-from conftest import add_at_conv2d_backward, assert_bitwise_equal, sliding_window_im2col
+from conftest import (add_at_conv2d_backward, assert_bitwise_equal, long_form_normalize_backward,
+                      long_form_normalize_cached, sliding_window_im2col)
 
 RNG_SEED = 42
 
@@ -271,6 +272,71 @@ class TestNormalize:
         assert ops.max_relative_error(dx, fx) < 1e-5
         assert ops.max_relative_error(dg, fg) < 1e-5
         assert ops.max_relative_error(db, fb) < 1e-5
+
+    @pytest.mark.parametrize("mode,shape", [
+        ("batch", (2, 1, 4, 4)), ("instance", (2, 1, 4, 4)), ("layer", (3, 5, 1)),
+        ("layer", (4, 1)),
+    ])
+    def test_one_channel_parameter_gradients_keep_gamma_shape(self, mode, shape):
+        """One channel (or one feature) still sums dgamma/dbeta over the
+        named parameter axes only, so they have gamma's shape (1,)."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.normal(size=shape)
+        gamma, beta = rng.uniform(0.5, 1.5, size=1), rng.normal(size=1)
+        w = rng.normal(size=shape)
+        _, cache = ops.normalize_cached(x, mode, gamma, beta)
+        dx, dg, db = ops.normalize_backward(w, cache)
+        assert dx.shape == shape
+        assert dg.shape == db.shape == gamma.shape
+
+        def loss(x, gamma, beta):
+            return float(np.sum(ops.normalize_cached(x, mode, gamma, beta)[0] * w))
+
+        assert ops.max_relative_error(dg, ops.fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
+        assert ops.max_relative_error(db, ops.fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
+
+
+class TestNormalizeLongFormOracle:
+    """The cache of xhat and inv_std and the three-term backward against
+    the centered-input cache and dvar/dmean chain they replaced
+    (conftest.long_form_normalize_*). Outputs and dgamma/dbeta are
+    bitwise equal; dx differs by rounding, within 1e-14 * max|old dx|."""
+
+    SHAPES = [
+        ("batch", (3, 4, 5, 6)), ("batch", (2, 1, 4, 4)), ("batch", (3, 2, 1, 1)),
+        ("batch", (4, 3, 16, 16)), ("instance", (3, 4, 5, 6)), ("instance", (2, 1, 4, 4)),
+        ("instance", (2, 3, 1, 1)), ("instance", (2, 0, 3, 3)), ("layer", (2, 7, 9)),
+        ("layer", (3, 5, 1)), ("layer", (3, 17, 32)), ("layer", (4, 1)),
+    ]
+
+    @pytest.mark.parametrize("mode,shape", SHAPES)
+    def test_matches_long_form(self, mode, shape):
+        rng = np.random.default_rng(RNG_SEED)
+        n = shape[-1] if mode == "layer" else shape[1]
+        for _ in range(5):
+            x = rng.normal(size=shape) * rng.uniform(0.1, 100) + rng.normal() * 10
+            gamma, beta = rng.normal(size=n), rng.normal(size=n)
+            w = rng.normal(size=shape)
+            out, cache = ops.normalize_cached(x, mode, gamma, beta)
+            old_out, old_cache = long_form_normalize_cached(x, mode, gamma, beta)
+            assert_bitwise_equal(out, old_out)
+
+            dx, dg, db = ops.normalize_backward(w, cache)
+            old_dx, old_dg, old_db = long_form_normalize_backward(w, old_cache)
+            assert dg.shape == db.shape == gamma.shape
+            # the long form's one-channel dgamma/dbeta are 0-d: compare values
+            assert dg.tobytes() == old_dg.reshape(-1).tobytes()
+            assert db.tobytes() == old_db.reshape(-1).tobytes()
+            assert dx.shape == old_dx.shape
+            if dx.size:
+                assert np.abs(dx - old_dx).max() <= 1e-14 * np.abs(old_dx).max()
+
+    def test_cache_holds_no_centered_copy(self):
+        """One array of x's size per cache: xhat; the rest broadcast."""
+        x = np.random.default_rng(RNG_SEED).normal(size=(2, 3, 4, 4))
+        _, cache = ops.normalize_cached(x, "batch", np.ones(3), np.zeros(3))
+        full_size = [a for a in cache if isinstance(a, np.ndarray) and a.size == x.size]
+        assert len(full_size) == 1
 
 
 class TestActivations:

@@ -6,7 +6,8 @@ import pytest
 from cfs_curate import ops, stems
 from cfs_curate.errors import ConfigError, DimensionError
 
-from conftest import assert_bitwise_equal, np_pad_edge_pad, sliding_window_im2col
+from conftest import (add_at_edge_pad_backward, assert_bitwise_equal, kink_safe_images,
+                      np_pad_edge_pad, sliding_window_im2col)
 
 RNG_SEED = 42
 
@@ -314,6 +315,65 @@ class TestGradients:
             assert abs(numeric - analytic) / denom < 1e-4
 
 
+class TestOneChannelGroups:
+    """At embed_dim 16 and patch stride 16 the ladder is (2, 4, 8, 16), so
+    the ics stem's layer 0 splits 1 + 1: each half is a one-channel
+    normalization group."""
+
+    @staticmethod
+    def config(variant):
+        return stems.StemConfig(variant, embed_dim=16, patch_stride=16)
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_gradients_keep_parameter_shapes(self, variant):
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = self.config(variant)
+        if variant != "patchify":
+            assert cfg.channel_ladder == (2, 4, 8, 16)
+        params = stems.init_stem_params(3, cfg)
+        images = rng.uniform(0.05, 0.95, (2, 3, 32, 32))
+        tokens, cache = stems.stem_forward_cached(images, cfg, params)
+        pair = stems.stem_backward(rng.normal(size=tokens.shape), cache, params)
+        assert pair.input_grad.shape == images.shape
+        assert sorted(pair.param_grads) == sorted(params)
+        for key, value in params.items():
+            assert pair.param_grads[key].shape == value.shape, key
+
+    def test_ics_gradients_match_fd(self):
+        """Every norm parameter and sampled kernel, bias and input
+        coordinates, on kink-safe images: random ones straddle relu kinks,
+        where fd measures an averaged slope (0.023 on this draw)."""
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = self.config("ics")
+        params = stems.init_stem_params(3, cfg)
+        images = kink_safe_images(rng, cfg, params, (2, 3, 32, 32))
+        w = rng.normal(size=(2, 4, 16))
+        _, cache = stems.stem_forward_cached(images, cfg, params)
+        pair = stems.stem_backward(w, cache, params)
+
+        def loss():
+            return float(np.sum(stems.stem_forward(images, cfg, params) * w))
+
+        worst = 0.0
+        grads = dict(pair.param_grads, images=pair.input_grad)
+        for key, grad in sorted(grads.items()):
+            flat = (images if key == "images" else params[key]).reshape(-1)
+            picks = np.arange(flat.size) if key.startswith("norm") else rng.choice(
+                flat.size, size=min(16, flat.size), replace=False)
+            original = flat[picks].copy()
+
+            def loss_at_picks(values):
+                flat[picks] = values
+                return loss()
+
+            try:
+                fd = ops.fd_gradient(loss_at_picks, original)
+            finally:
+                flat[picks] = original
+            worst = max(worst, ops.max_relative_error(grad.reshape(-1)[picks], fd))
+        assert worst < 1e-4
+
+
 class TestBranchedOracle:
     """The one code path against the branched code it replaced
     (conftest.branched_*), which named the patchify projection patch_*."""
@@ -379,6 +439,27 @@ class TestEdgePadOracle:
         ]
         for x in inputs:
             assert_bitwise_equal(stems._edge_pad(x, pad), np_pad_edge_pad(x, pad))
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_backward_matches_add_at_scatter(self, pad):
+        """The slice folds against the np.add.at scatter they replaced
+        (conftest.add_at_edge_pad_backward): equal up to the order of the
+        additions, within 2e-15 * max|old|."""
+        rng = np.random.default_rng(RNG_SEED)
+        base = rng.normal(size=(2, 5, 16 + 2 * pad, 16 + 2 * pad))
+        grads = [
+            rng.normal(size=(3, 2, 1 + 2 * pad, 1 + 2 * pad)),  # 1x1 map
+            rng.normal(size=(2, 3, 1 + 2 * pad, 7 + 2 * pad)),  # one row
+            rng.normal(size=(2, 3, 6 + 2 * pad, 1 + 2 * pad)),  # one column
+            base,  # 16x16
+            base[:, 1:4],  # channel slice
+        ]
+        for g in grads:
+            h, w = g.shape[2] - 2 * pad, g.shape[3] - 2 * pad
+            old = add_at_edge_pad_backward(g, pad, h, w)
+            new = stems._edge_pad_backward(g.copy(), pad, h, w)
+            assert new.shape == old.shape == (*g.shape[:2], h, w)
+            assert np.abs(new - old).max() <= 2e-15 * np.abs(old).max()
 
     @pytest.mark.parametrize("variant", ["conv", "ics"])
     def test_stem_bitwise_equal_with_old_pad_and_im2col(self, monkeypatch, variant):

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cfs, divergence, ops, selection, stems
+from .embeddings import check_unique_ids
 from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
 from .errors import DimensionError, FormatError, RangeError
 from .formats import (
@@ -75,17 +76,12 @@ def _emit_report(args, tool: str, config: dict, results) -> None:
         sys.stdout.buffer.write(report_bytes(tool, config, results))
 
 
-def _load_images(paths: list[str]) -> tuple[np.ndarray, list[str]]:
-    images = []
-    ids = []
-    for raw in paths:
-        path = Path(raw)
-        images.append(read_image_ppm(path))
-        ids.append(path.stem)
+def _load_images(paths: list[str]) -> np.ndarray:
+    images = [read_image_ppm(Path(raw)) for raw in paths]
     shapes = {img.shape for img in images}
     if len(shapes) > 1:
         raise RangeError(f"images disagree on shape: {sorted(shapes)}")
-    return np.stack(images), ids
+    return np.stack(images)
 
 
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
@@ -117,7 +113,9 @@ def _table_from_report(document: dict, path) -> cfs.ScoreTable:
 
 
 def _cmd_embed(args) -> int:
-    images, ids = _load_images(args.images)
+    ids = [Path(raw).stem for raw in args.images]
+    check_unique_ids(ids)  # before reading any image
+    images = _load_images(args.images)
     config = default_vit_config(args.stem, images.shape[1:3])
     params = init_params(args.seed, config)
     embedded = embed_images(images, ids, config, params)
@@ -183,14 +181,14 @@ def _parse_kinds(raw: str | None) -> list[AugmentationSpec]:
 
 
 def _cmd_cka(args) -> int:
-    images, ids = _load_images(args.images)
+    images = _load_images(args.images)
     specs = _parse_kinds(args.kinds)
     config_model = default_vit_config(args.stem, images.shape[1:3])
     params = init_params(args.seed, config_model)
     report = invariance_report(
         config_model, params, images, specs,
         model_id=f"{args.stem}:{args.seed}",
-        corpus_id=f"{len(ids)} images",
+        corpus_id=f"{len(images)} images",
     )
     _emit_report(args, "cka", _report_config(args, kinds=[s.kind for s in specs]),
                  asdict(report))

@@ -59,7 +59,7 @@ def default_specs() -> list[AugmentationSpec]:
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample of (..., H, W, 3) with half-pixel-centered source
-    coordinates."""
+    coordinates into a new C-order array: rows, then columns, gathered by ``take``."""
     if out_h < 1 or out_w < 1:
         raise RangeError(f"target size {out_h}x{out_w} must be positive")
     h, w = image.shape[-3:-1]
@@ -71,10 +71,10 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    upper = image[..., y0, :, :]
-    lower = image[..., y1, :, :]
-    top = upper[..., x0, :] * (1 - wx) + upper[..., x1, :] * wx
-    bottom = lower[..., x0, :] * (1 - wx) + lower[..., x1, :] * wx
+    upper = image.take(y0, axis=-3)
+    lower = image.take(y1, axis=-3)
+    top = upper.take(x0, axis=-2) * (1 - wx) + upper.take(x1, axis=-2) * wx
+    bottom = lower.take(x0, axis=-2) * (1 - wx) + lower.take(x1, axis=-2) * wx
     return top * (1 - wy) + bottom * wy
 
 

@@ -22,14 +22,15 @@ that data:
   its half, which is what makes this stem's shallow features invariant
   to per-image color changes; deeper layers use batch normalization only.
 
-Every ladder layer normalizes its channels ``[:half]`` by instance and
-``[half:]`` by batch (or per sample), with ``half`` zero on the layers
-that are not split.
+A split layer normalizes channels ``[:half]`` by instance and ``[half:]``
+by batch (or per sample); any other layer is one group of all channels.
+Each group's output is written in place into the layer's one array; in
+the backward pass its gradient overwrites its slice of the relu gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,12 +190,12 @@ def _map_from_tokens(grad_tokens: np.ndarray, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(grad_tokens.transpose(0, 2, 1).reshape(b, d, h, w))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _StemCache:
     config: StemConfig
-    layers: list = field(default_factory=list)
-    proj_in: np.ndarray | None = None
-    map_hw: tuple[int, int] = (0, 0)
+    layers: list
+    proj_in: np.ndarray
+    map_hw: tuple[int, int]
 
 
 def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
@@ -217,8 +218,8 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
             f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
             "feature (use larger images, a smaller patch stride or a larger batch)"
         )
-    cache = _StemCache(config=config)
     bn_mode = "instance" if per_sample else "batch"
+    layers = []
     x = images
     for i, out_c in enumerate(config.channel_ladder):
         kernel = params[f"conv{i}_kernel"]
@@ -226,22 +227,21 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
         conv_out = ops.conv2d(padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE)
         gamma = params[f"norm{i}_gamma"]
         beta = params[f"norm{i}_beta"]
-        half = out_c // 2 if i < config.split_layers else 0
-        in_out, in_cache = ops.normalize_cached(
-            conv_out[:, :half], "instance", gamma[:half], beta[:half], config.eps
-        )
-        bn_out, bn_cache = ops.normalize_cached(
-            conv_out[:, half:], bn_mode, gamma[half:], beta[half:], config.eps
-        )
-        normed = np.concatenate([in_out, bn_out], axis=1)
-        act = ops.activation(normed, "relu")
-        norm_cache = (half, in_cache, bn_cache)
-        cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
-        x = act
-    cache.proj_in = x
+        if i < config.split_layers:
+            groups = ((slice(None, out_c // 2), "instance"), (slice(out_c // 2, None), bn_mode))
+        else:
+            groups = ((slice(None), bn_mode),)
+        normed = np.empty_like(conv_out)
+        norm_cache = []
+        for channels, mode in groups:
+            normed[:, channels], group_cache = ops.normalize_cached(
+                conv_out[:, channels], mode, gamma[channels], beta[channels], config.eps
+            )
+            norm_cache.append((channels, group_cache))
+        layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
+        x = ops.activation(normed, "relu")
     fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=config.proj_stride)
-    cache.map_hw = fmap.shape[2:]
-    return _tokens_from_map(fmap), cache
+    return _tokens_from_map(fmap), _StemCache(config, layers, x, fmap.shape[2:])
 
 
 def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPair:
@@ -253,12 +253,11 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
     grads = {"proj_kernel": dk, "proj_bias": db}
     for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
         grad = ops.activation_backward(grad, normed, "relu")
-        half, in_cache, bn_cache = norm_cache
-        d_in, dg_in, db_in = ops.normalize_backward(grad[:, :half], in_cache)
-        d_bn, dg_bn, db_bn = ops.normalize_backward(grad[:, half:], bn_cache)
-        grad = np.concatenate([d_in, d_bn], axis=1)
-        grads[f"norm{i}_gamma"] = np.concatenate([dg_in, dg_bn])
-        grads[f"norm{i}_beta"] = np.concatenate([db_in, db_bn])
+        dgamma = grads[f"norm{i}_gamma"] = np.empty(normed.shape[1])
+        dbeta = grads[f"norm{i}_beta"] = np.empty(normed.shape[1])
+        for channels, group_cache in norm_cache:
+            grad[:, channels], dgamma[channels], dbeta[channels] = ops.normalize_backward(
+                grad[:, channels], group_cache)
         grad, dk, db = ops.conv2d_backward(grad, padded, kernel, stride=LADDER_STRIDE)
         grads[f"conv{i}_kernel"] = dk
         grads[f"conv{i}_bias"] = db

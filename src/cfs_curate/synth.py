@@ -94,11 +94,12 @@ def synth_corpus(seed: int, n_per_domain: int, height: int, width: int,
     """Generate the two-domain corpus; bit-identical for a given seed.
 
     Draw order is fixed (all source images, then all target images), so
-    corpora are reproducible. The last floor(extreme_fraction * N) source
-    images get the extreme shift; their ids are reported. value_range
-    affinely compresses finished images into [lo, hi]; a corpus that does
-    not span the full [0, 1] range keeps headroom so later additive or
-    contrast augmentations act without clipping.
+    corpora are reproducible. Each domain is one C-order (N, H, W, 3) batch,
+    filled image by image in place. The last floor(extreme_fraction * N)
+    source images get the extreme shift; their ids are reported. value_range
+    affinely compresses finished images into [lo, hi], in place; a corpus
+    that does not span the full [0, 1] range keeps headroom so later
+    additive or contrast augmentations act without clipping.
     """
     if n_per_domain < 0:
         raise RangeError(f"n_per_domain must be >= 0, got {n_per_domain}")
@@ -115,28 +116,26 @@ def synth_corpus(seed: int, n_per_domain: int, height: int, width: int,
     n_extreme = int(np.floor(extreme_fraction * n_per_domain))
     first_extreme = n_per_domain - n_extreme
 
-    source, extreme_ids = [], []
+    source = np.empty((n_per_domain, height, width, 3))
     for i in range(n_per_domain):
-        image = _draw_image(rng, height, width)
+        source[i] = _draw_image(rng, height, width)
         if i >= first_extreme:
             sign = 1.0 if i % 2 == 0 else -1.0
-            image = _apply_shift(image, rng, sign * EXTREME_BRIGHTNESS,
-                                 EXTREME_HUE, EXTREME_NOISE)
-            extreme_ids.append(f"src-{i:04d}")
-        source.append(image)
+            source[i] = _apply_shift(source[i], rng, sign * EXTREME_BRIGHTNESS,
+                                     EXTREME_HUE, EXTREME_NOISE)
 
-    target = []
-    for _ in range(n_per_domain):
-        image = _draw_image(rng, height, width)
-        target.append(_apply_shift(image, rng, shift.brightness_offset,
-                                   shift.hue_rotation, shift.noise_sigma))
+    target = np.empty_like(source)
+    for i in range(n_per_domain):
+        target[i] = _apply_shift(_draw_image(rng, height, width), rng, shift.brightness_offset,
+                                 shift.hue_rotation, shift.noise_sigma)
 
-    empty = np.zeros((0, height, width, 3))
-    squeeze = lambda batch: lo + (hi - lo) * batch
+    for batch in (source, target):
+        batch *= hi - lo
+        batch += lo
     return SynthCorpus(
-        source_images=squeeze(np.stack(source)) if source else empty,
+        source_images=source,
         source_ids=[f"src-{i:04d}" for i in range(n_per_domain)],
-        target_images=squeeze(np.stack(target)) if target else empty,
+        target_images=target,
         target_ids=[f"tgt-{i:04d}" for i in range(n_per_domain)],
-        extreme_ids=extreme_ids,
+        extreme_ids=[f"src-{i:04d}" for i in range(first_extreme, n_per_domain)],
     )

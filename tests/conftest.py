@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cfs_curate import encoder, ops, stems
+from cfs_curate import encoder, ops, stems, synth
 from cfs_curate.errors import ConfigError, FormatError, RangeError
 from cfs_curate.invariance import LUMA_WEIGHTS, AugmentationSpec
 from cfs_curate.validation import check_image
@@ -422,6 +422,82 @@ def single_image_resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> n
     top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
     bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
     return top * (1 - wy) + bottom * wy
+
+
+def fancy_index_resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """invariance.resize_bilinear as computed before its ``take`` gathers:
+    fancy indexing, whose column gather puts the output's W axis
+    outermost in memory. Reference for bitwise-equal values."""
+    if out_h < 1 or out_w < 1:
+        raise RangeError(f"target size {out_h}x{out_w} must be positive")
+    h, w = image.shape[-3:-1]
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    upper = image[..., y0, :, :]
+    lower = image[..., y1, :, :]
+    top = upper[..., x0, :] * (1 - wx) + upper[..., x1, :] * wx
+    bottom = lower[..., x0, :] * (1 - wx) + lower[..., x1, :] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def _fancy_index_draw_image(rng, height: int, width: int) -> np.ndarray:
+    # synth._draw_image over the fancy-index resize, so a W-major image
+    base = rng.uniform(0.15, 0.85, size=3)
+    texture = rng.normal(0.0, 0.08, size=(4, 4, 3))
+    canvas = base + fancy_index_resize_bilinear(texture, height, width)
+    for _ in range(int(rng.integers(1, 4))):
+        fig_h = int(rng.integers(max(1, height // 8), max(2, height // 2)))
+        fig_w = int(rng.integers(max(1, width // 8), max(2, width // 2)))
+        top = int(rng.integers(0, max(1, height - fig_h)))
+        left = int(rng.integers(0, max(1, width - fig_w)))
+        canvas[top:top + fig_h, left:left + fig_w] = rng.uniform(0.0, 1.0, size=3)
+    return np.clip(canvas, 0.0, 1.0)
+
+
+def stacked_synth_corpus(seed, n_per_domain, height, width, shift=None,
+                         extreme_fraction=0.1, value_range=(0.0, 1.0)) -> synth.SynthCorpus:
+    """synth.synth_corpus as computed before it filled its batches in
+    place: per-domain image lists over the fancy-index resize, np.stack,
+    then a scaled copy. Takes valid arguments only. Reference for
+    bitwise equality."""
+    lo, hi = value_range
+    shift = shift or synth.ShiftSpec()
+    rng = np.random.default_rng(seed)
+
+    n_extreme = int(np.floor(extreme_fraction * n_per_domain))
+    first_extreme = n_per_domain - n_extreme
+
+    source, extreme_ids = [], []
+    for i in range(n_per_domain):
+        image = _fancy_index_draw_image(rng, height, width)
+        if i >= first_extreme:
+            sign = 1.0 if i % 2 == 0 else -1.0
+            image = synth._apply_shift(image, rng, sign * synth.EXTREME_BRIGHTNESS,
+                                       synth.EXTREME_HUE, synth.EXTREME_NOISE)
+            extreme_ids.append(f"src-{i:04d}")
+        source.append(image)
+
+    target = []
+    for _ in range(n_per_domain):
+        image = _fancy_index_draw_image(rng, height, width)
+        target.append(synth._apply_shift(image, rng, shift.brightness_offset,
+                                         shift.hue_rotation, shift.noise_sigma))
+
+    empty = np.zeros((0, height, width, 3))
+    squeeze = lambda batch: lo + (hi - lo) * batch
+    return synth.SynthCorpus(
+        source_images=squeeze(np.stack(source)) if source else empty,
+        source_ids=[f"src-{i:04d}" for i in range(n_per_domain)],
+        target_images=squeeze(np.stack(target)) if target else empty,
+        target_ids=[f"tgt-{i:04d}" for i in range(n_per_domain)],
+        extreme_ids=extreme_ids,
+    )
 
 
 def single_image_augment(image, spec: AugmentationSpec) -> np.ndarray:

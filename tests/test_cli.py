@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from cfs_curate import cli, divergence, formats
+from cfs_curate import cli, divergence, formats, pipeline
 from cfs_curate.embeddings import EmbeddingSet
 
 
@@ -127,6 +127,41 @@ class TestExitCodes:
         emb = tmp_path / "e.emb"
         assert run("embed", str(image), "--out", str(emb)) == 2
         assert not emb.exists()
+
+    def test_embed_duplicate_stems_refused_before_reading(self, tmp_path, monkeypatch, capsys):
+        """Two paths with one file stem once read and encoded every image
+        before EmbeddingSet refused the repeated id."""
+        corpus = make_corpus(tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "src-0000.ppm").write_bytes((corpus / "src-0000.ppm").read_bytes())
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "read_image_ppm", counted(cli.read_image_ppm))
+        monkeypatch.setattr(pipeline, "encoder_forward", counted(pipeline.encoder_forward))
+        emb = tmp_path / "e.emb"
+        paths = [corpus / "src-0000.ppm", other / "src-0000.ppm", corpus / "src-0001.ppm"]
+        assert run("embed", *map(str, paths), "--out", str(emb)) == 1
+        assert "duplicate ids: ['src-0000']" in capsys.readouterr().err
+        assert calls == []
+        assert not emb.exists()
+
+    def test_cka_accepts_repeated_stems(self, tmp_path):
+        """cka's report counts images and names none, so one stem may repeat."""
+        corpus = make_corpus(tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "src-0000.ppm").write_bytes((corpus / "src-0001.ppm").read_bytes())
+        out = tmp_path / "cka.json"
+        paths = [corpus / "src-0000.ppm", other / "src-0000.ppm", corpus / "src-0002.ppm"]
+        assert run("cka", *map(str, paths), "--kinds", "flip", "--out", str(out)) == 0
+        assert formats.read_report(out)["results"]["corpus_id"] == "3 images"
 
     def test_hdh_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         """Sets of different dimension once reached np.vstack and exited

@@ -6,7 +6,8 @@ import pytest
 from cfs_curate import encoder, formats, invariance, pipeline, stems
 from cfs_curate.errors import ConfigError, DegenerateFeatureError, DimensionError, RangeError
 
-from conftest import assert_bitwise_equal, single_image_augment, single_image_resize_bilinear
+from conftest import (assert_bitwise_equal, fancy_index_resize_bilinear, single_image_augment,
+                      single_image_resize_bilinear)
 
 
 def sample_images(seed=0, n=6, h=16, w=16):
@@ -122,6 +123,35 @@ class TestResizeBilinear:
             inner, np.interp(xs, np.arange(16), expected)[None, 1:-1, None]
             * np.ones_like(inner), rtol=0, atol=1e-12
         )
+
+
+class TestTakeGather:
+    """resize_bilinear against the fancy-index gather it replaced
+    (conftest.fancy_index_resize_bilinear): bitwise-equal values in a
+    C-order array."""
+
+    @pytest.mark.parametrize("in_hw,out_hw", [
+        ((4, 4), (32, 32)), ((17, 9), (5, 12)), ((16, 16), (13, 13)), ((1, 1), (5, 7)),
+        ((1, 9), (4, 1)), ((9, 1), (1, 3)), ((6, 5), (1, 1)), ((3, 8), (3, 8)),
+    ])
+    def test_bitwise_equal_to_fancy_index(self, in_hw, out_hw):
+        images = np.random.default_rng(9).uniform(0, 1, size=(3, *in_hw, 3))
+        for image in (images, images[1], images[::-2, :, ::-1]):
+            assert_bitwise_equal(invariance.resize_bilinear(image, *out_hw),
+                                 fancy_index_resize_bilinear(image, *out_hw))
+
+    @pytest.mark.parametrize("out_hw", [(32, 32), (5, 7), (1, 1)], ids=["up", "down", "one"])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["image", "batch"])
+    def test_output_is_c_contiguous(self, batch, out_hw):
+        images = np.random.default_rng(10).uniform(0, 1, size=(*batch, 12, 10, 3))
+        assert invariance.resize_bilinear(images, *out_hw).flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["crop", "scale"])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["image", "batch"])
+    def test_resampling_augmentations_are_c_contiguous(self, kind, batch):
+        images = np.random.default_rng(11).uniform(0, 1, size=(*batch, 16, 16, 3))
+        spec = invariance.AugmentationSpec(kind, invariance.DEFAULT_MAGNITUDES[kind])
+        assert invariance.augment(images, spec).flags.c_contiguous
 
 
 class TestBatchedAugment:

@@ -5,16 +5,18 @@ difference of the two peaks over the difference of the sizes is its
 slope. The budgets are the slopes this helper measured at d = 32 before
 the score report was written from columns (score 1258, filter 527
 B/record), plus a margin of 10%. Written from columns, score reads
-about 918 and filter about 508 B/record. The select, hdh and cka budgets
-are their measured slopes plus 10%; each test's docstring gives the slope.
+about 918 and filter about 508 B/record. The select, hdh, cka, synth and
+augment budgets are their measured slopes plus 10%; each test's
+docstring gives the slope.
 """
 
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 
-from cfs_curate import cli
+from cfs_curate import cli, formats
 
 SIZES = (5_000, 20_000)
 DIM = 32
@@ -23,6 +25,8 @@ FILTER_BUDGET = 580
 SELECT_BUDGET = 127_200  # bytes per --n-per-domain step
 HDH_BUDGET = 9_610  # bytes per record in each file
 CKA_BUDGET = 207_600  # bytes per image
+SYNTH_BUDGET = 54_100  # bytes per --n-per-domain step
+AUGMENT_CROP_BUDGET = 174  # bytes per pixel
 
 
 def bytes_per_record(argv_for, sizes=SIZES) -> float:
@@ -107,3 +111,29 @@ def test_cka_bytes_per_image_within_budget(tmp_path):
                 "--out", str(tmp_path / f"cka-{n}.json")]
 
     assert bytes_per_record(argv_for, sizes=(64, 256)) <= CKA_BUDGET
+
+
+def test_synth_bytes_per_step_within_budget(tmp_path):
+    """About 49.2 KB per --n-per-domain step at 32x32 (16 -> 64): the two
+    float64 images a step adds, 49 152 B, since each domain is one batch
+    filled in place (123.3 KB when each domain was held as an image
+    list, its np.stack and a scaled copy)."""
+    def argv_for(n):
+        return ["synth", "--seed", "0", "--n-per-domain", str(n),
+                "--out", str(tmp_path / f"synth-{n}")]
+
+    assert bytes_per_record(argv_for, sizes=(16, 64)) <= SYNTH_BUDGET
+
+
+def test_augment_crop_bytes_per_pixel_within_budget(tmp_path):
+    """About 158 B per pixel for --kind crop (64x64 -> 256x256 images),
+    6.6 times the 24 B a pixel takes in one float64 (H, W, 3) image. The
+    budget documents the slope; it is not a target."""
+    def argv_for(pixels):
+        side = math.isqrt(pixels)
+        image = tmp_path / f"in-{side}.ppm"
+        formats.write_image_ppm(np.random.default_rng(side).uniform(0, 1, (side, side, 3)), image)
+        return ["augment", str(image), "--kind", "crop",
+                "--out", str(tmp_path / f"crop-{side}.ppm")]
+
+    assert bytes_per_record(argv_for, sizes=(64 * 64, 256 * 256)) <= AUGMENT_CROP_BUDGET

@@ -155,6 +155,47 @@ class TestConvLadder:
         assert a.shape == b.shape
 
 
+class TestNormalizationGroups:
+    """Each ladder layer normalizes its groups only: one group of all
+    channels, or on a split ics layer an instance half and a batch half.
+    No group is empty."""
+
+    @staticmethod
+    def normalized_groups(monkeypatch, cfg, per_sample):
+        calls = []
+        normalize_cached = ops.normalize_cached
+
+        def counted(x, mode, gamma, beta, eps):
+            calls.append((mode, x.shape[1]))
+            return normalize_cached(x, mode, gamma, beta, eps)
+
+        monkeypatch.setattr(ops, "normalize_cached", counted)
+        images = np.random.default_rng(RNG_SEED).uniform(0, 1, (2, 3, 32, 32))
+        stems.stem_forward_cached(images, cfg, stems.init_stem_params(1, cfg),
+                                  per_sample=per_sample)
+        return calls
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    def test_conv_one_call_per_layer(self, monkeypatch, per_sample):
+        cfg = stems.StemConfig("conv", embed_dim=32, patch_stride=16)
+        mode = "instance" if per_sample else "batch"
+        assert self.normalized_groups(monkeypatch, cfg, per_sample) == [
+            (mode, 4), (mode, 8), (mode, 16), (mode, 32)]
+
+    @pytest.mark.parametrize("in_layers", [0, 1, 2, 4])
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    def test_ics_two_calls_on_split_layers_one_after(self, monkeypatch, per_sample, in_layers):
+        cfg = stems.StemConfig("ics", embed_dim=32, patch_stride=16, in_layers=in_layers)
+        mode = "instance" if per_sample else "batch"
+        expected = []
+        for i, out_c in enumerate(cfg.channel_ladder):
+            if i < in_layers:
+                expected += [("instance", out_c // 2), (mode, out_c // 2)]
+            else:
+                expected.append((mode, out_c))
+        assert self.normalized_groups(monkeypatch, cfg, per_sample) == expected
+
+
 class TestIcsBehavior:
     def test_zero_split_layers_bit_identical_to_conv(self):
         rng = np.random.default_rng(RNG_SEED)

@@ -6,6 +6,8 @@ import pytest
 from cfs_curate import synth
 from cfs_curate.errors import RangeError
 
+from conftest import assert_bitwise_equal, stacked_synth_corpus
+
 
 class TestHueRotation:
     def test_identity_at_zero(self):
@@ -135,3 +137,32 @@ class TestSynthCorpus:
             synth.synth_corpus(0, 4, 8, 8, value_range=(0.5, 0.5))
         with pytest.raises(RangeError):
             synth.synth_corpus(0, 4, 8, 8, value_range=(-0.1, 0.5))
+
+
+class TestStackedOracle:
+    """synth_corpus against the list-and-stack code it replaced
+    (conftest.stacked_synth_corpus): bitwise-equal images, equal ids."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("n,hw,kwargs", [
+        (6, (16, 16), {}),
+        (5, (12, 20), {"shift": synth.ShiftSpec(brightness_offset=0.2)}),
+        (4, (9, 4), {"shift": synth.ShiftSpec(-0.1, 1.3, 0.05), "extreme_fraction": 1.0}),
+        (7, (4, 13), {"extreme_fraction": 0.0, "value_range": (0.2, 0.6)}),
+        (3, (32, 8), {"extreme_fraction": 0.5, "value_range": (0.25, 0.75)}),
+        (5, (8, 8), {"shift": synth.ShiftSpec(0.0, 0.7, 0.2), "value_range": (0.0, 0.3)}),
+        (0, (8, 6), {"value_range": (0.1, 0.9)}),
+    ])
+    def test_bitwise_equal(self, seed, n, hw, kwargs):
+        got = synth.synth_corpus(seed, n, *hw, **kwargs)
+        old = stacked_synth_corpus(seed, n, *hw, **kwargs)
+        assert_bitwise_equal(got.source_images, old.source_images)
+        assert_bitwise_equal(got.target_images, old.target_images)
+        assert got.source_ids == old.source_ids and got.target_ids == old.target_ids
+        assert got.extreme_ids == old.extreme_ids
+
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
+    def test_batches_are_c_contiguous(self, hw):
+        corpus = synth.synth_corpus(0, 4, *hw, extreme_fraction=0.5)
+        assert corpus.source_images.flags.c_contiguous
+        assert corpus.target_images.flags.c_contiguous

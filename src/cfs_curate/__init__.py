@@ -12,7 +12,6 @@ behind the ``cfs-curate`` command line tool.
 
 from .cfs import (
     ScoreTable,
-    cfs_score,
     check_distance_identity,
     count_for_ratio,
     filter_top,
@@ -105,7 +104,6 @@ __all__ = [
     "ViTConfig",
     "augment",
     "build_stumps",
-    "cfs_score",
     "check_distance_identity",
     "cka_linear",
     "compare_on_synth_corpus",

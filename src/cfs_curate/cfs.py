@@ -54,30 +54,6 @@ class ScoreTable:
         return len(self.ids)
 
 
-def _checked_pair(f_source, f_target):
-    """Two finite, nonzero, same-length 1-D features and their norms."""
-    a = np.asarray(f_source, dtype=np.float64)
-    b = np.asarray(f_target, dtype=np.float64)
-    for arr, name in ((a, "f_source"), (b, "f_target")):
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DimensionError(f"{name} contains NaN or Inf")
-    if a.shape != b.shape:
-        raise DimensionError(f"feature dims differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateFeatureError("zero-norm feature vector")
-    return a, b, na, nb
-
-
-def cfs_score(f_source, f_target) -> float:
-    """Cosine similarity between the two proxy features of one record."""
-    a, b, na, nb = _checked_pair(f_source, f_target)
-    return float(np.dot(a, b) / (na * nb))
-
-
 def score_corpus(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: EmbeddingSet) -> ScoreTable:
     """Score every record of the source corpus under both proxies.
 
@@ -131,9 +107,22 @@ def check_distance_identity(f_source, f_target) -> tuple[float, float, float]:
     """Cosine c, unit-normalized distance d, and the identity residual.
 
     Returns ``(c, d, |d^2 - (2 - 2c)|)``; the residual is zero in exact
-    arithmetic and stays below 1e-10 in floats.
+    arithmetic and stays below 1e-10 in floats. Both features must be
+    finite, nonzero 1-D vectors of one length.
     """
-    a, b, na, nb = _checked_pair(f_source, f_target)
+    a = np.asarray(f_source, dtype=np.float64)
+    b = np.asarray(f_target, dtype=np.float64)
+    for arr, name in ((a, "f_source"), (b, "f_target")):
+        if arr.ndim != 1 or arr.size == 0:
+            raise DimensionError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DimensionError(f"{name} contains NaN or Inf")
+    if a.shape != b.shape:
+        raise DimensionError(f"feature dims differ: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateFeatureError("zero-norm feature vector")
     c = float(np.dot(a, b) / (na * nb))
     d = float(np.linalg.norm(b / nb - a / na))
     residual = abs(d * d - (2.0 - 2.0 * c))

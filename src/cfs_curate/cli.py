@@ -77,11 +77,21 @@ def _emit_report(args, tool: str, config: dict, results) -> None:
 
 
 def _load_images(paths: list[str]) -> np.ndarray:
-    images = [read_image_ppm(Path(raw)) for raw in paths]
-    shapes = {img.shape for img in images}
+    """One (N, H, W, 3) batch sized from the first image, each image
+    written in as it is read. Every file is read before shapes are
+    compared, so a malformed image anywhere wins over a shape mismatch."""
+    images = None
+    shapes = set()
+    for i, raw in enumerate(paths):
+        image = read_image_ppm(raw)
+        shapes.add(image.shape)
+        if images is None:
+            images = np.empty((len(paths), *image.shape))
+        if image.shape == images.shape[1:]:
+            images[i] = image
     if len(shapes) > 1:
         raise RangeError(f"images disagree on shape: {sorted(shapes)}")
-    return np.stack(images)
+    return images
 
 
 def _table_from_report(document: dict, path) -> cfs.ScoreTable:
@@ -274,8 +284,7 @@ def _identity_self_test(rng) -> dict:
 
 def _gradient_self_test(variant: str) -> float:
     rng = np.random.default_rng(CHECK_PROBE_SEED)
-    config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
-                                heads=2, patch_stride=8)
+    config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
     params = init_params(CHECK_PROBE_SEED, config)
     images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
     weight = rng.normal(size=(2, config.embed_dim))

@@ -95,7 +95,7 @@ def augment(images, spec: AugmentationSpec) -> np.ndarray:
     if spec.kind == "brightness":
         out = images + m
     elif spec.kind == "contrast":
-        mean = images.mean(axis=(-3, -2, -1), keepdims=True)
+        mean = np.ascontiguousarray(images).mean(axis=(-3, -2, -1), keepdims=True)
         out = mean + (images - mean) * (1.0 + m)
     elif spec.kind == "saturation":
         luma = images @ LUMA_WEIGHTS

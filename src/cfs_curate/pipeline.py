@@ -41,11 +41,11 @@ CHUNK_BYTES = 2**20
 
 
 def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
-                       depth: int = 2, heads: int = 2,
-                       patch_stride: int = 16) -> ViTConfig:
-    """Small encoder configuration used by the command-line pipelines."""
+                       depth: int = 2, patch_stride: int = 16) -> ViTConfig:
+    """Small encoder configuration, with two attention heads, used by the
+    command-line pipelines."""
     stem = StemConfig(stem_variant, embed_dim=embed_dim, patch_stride=patch_stride)
-    return ViTConfig(depth=depth, heads=heads, embed_dim=embed_dim, stem=stem,
+    return ViTConfig(depth=depth, heads=2, embed_dim=embed_dim, stem=stem,
                      image_size=tuple(image_size))
 
 
@@ -68,8 +68,9 @@ def embed_images(images, ids, config: ViTConfig, params) -> EmbeddingSet:
 
 
 def palette_mean(images) -> np.ndarray:
-    """Per-channel mean over a whole (N, H, W, 3) corpus."""
-    arr = np.asarray(images, dtype=np.float64)
+    """Per-channel mean over a whole (N, H, W, 3) corpus, summed in C
+    order whatever the input's layout."""
+    arr = np.ascontiguousarray(images, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[-1] != 3 or arr.shape[0] == 0:
         raise DimensionError(f"expected nonempty (N, H, W, 3) images, got {arr.shape}")
     return arr.mean(axis=(0, 1, 2))
@@ -80,8 +81,9 @@ def align_channel_means(images, target_palette) -> np.ndarray:
 
     Output is NOT clamped: it feeds the encoder, not a display, and
     clamping would break the fixed-point property for in-palette images.
+    Each image's means are summed in C order whatever the input's layout.
     """
-    arr = np.asarray(images, dtype=np.float64)
+    arr = np.ascontiguousarray(images, dtype=np.float64)
     palette = np.asarray(target_palette, dtype=np.float64)
     if palette.shape != (3,):
         raise DimensionError(f"palette must have shape (3,), got {palette.shape}")

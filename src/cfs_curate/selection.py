@@ -21,8 +21,10 @@ from .errors import DegenerateFeatureError, RangeError
 STRATEGIES = ("random", "cluster", "cfs")
 # feature rows per cosine block in _max_cosine_to_rows
 BLOCK_ROWS = 256
-# kmeans_fit stops once no center moves farther than this in a round
+# kmeans_fit stops once no center moves farther than KMEANS_TOL in a
+# round, or after KMEANS_MAX_ITER rounds
 KMEANS_TOL = 1e-6
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,13 @@ def select_random(ids, ratio: float, seed: int) -> list[str]:
     return sorted(pool[i] for i in picks)
 
 
-def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, *,
-               history: list | None = None) -> np.ndarray:
+def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> np.ndarray:
     """Lloyd's algorithm from a seeded D^2-weighted initialization.
 
     Stops when the largest center shift drops below ``KMEANS_TOL`` or after
-    ``max_iter`` rounds. If ``history`` is given, the assignment objective
-    (summed squared distance of each point to its assigned center) is
-    appended each round.
+    ``KMEANS_MAX_ITER`` rounds. If ``history`` is given, the assignment
+    objective (summed squared distance of each point to its assigned
+    center) is appended each round.
 
     Each round takes O(N*k) memory. A point goes to the center of least
     GEMM-form distance ||x||^2 - 2 x.c + ||c||^2, the lowest center index
@@ -112,7 +113,7 @@ def kmeans_fit(features, k: int, seed: int, max_iter: int = 100, *,
         closest = np.minimum(closest, ((x - centers[j]) ** 2).sum(axis=1))
 
     x_sq = (x * x).sum(axis=1)[:, None]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = x @ centers.T
         d2 *= -2.0
         d2 += x_sq

@@ -1,10 +1,11 @@
 """Shared test helpers."""
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from cfs_curate import encoder, ops, stems, synth
+from cfs_curate import encoder, formats, ops, stems, synth
 from cfs_curate.errors import ConfigError, FormatError, RangeError
 from cfs_curate.invariance import LUMA_WEIGHTS, AugmentationSpec
 from cfs_curate.validation import check_image
@@ -498,6 +499,17 @@ def stacked_synth_corpus(seed, n_per_domain, height, width, shift=None,
         target_ids=[f"tgt-{i:04d}" for i in range(n_per_domain)],
         extreme_ids=extreme_ids,
     )
+
+
+def stacked_load_images(paths) -> np.ndarray:
+    """cli._load_images as computed before it filled one batch in place: a
+    list of per-image arrays, then their np.stack copy. Reference for
+    bitwise equality."""
+    images = [formats.read_image_ppm(Path(raw)) for raw in paths]
+    shapes = {img.shape for img in images}
+    if len(shapes) > 1:
+        raise RangeError(f"images disagree on shape: {sorted(shapes)}")
+    return np.stack(images)
 
 
 def single_image_augment(image, spec: AugmentationSpec) -> np.ndarray:

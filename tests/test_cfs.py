@@ -41,17 +41,21 @@ def random_sets(seed, n, d):
 
 
 class TestCfsScore:
+    """The cosine c that check_distance_identity returns first."""
+
     def test_identical_vectors(self):
         v = np.array([0.3, -1.2, 4.0])
-        np.testing.assert_allclose(cfs.cfs_score(v, v), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cfs.check_distance_identity(v, v)[0], 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_orthogonal(self):
-        assert cfs.cfs_score([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cfs.check_distance_identity([1.0, 0.0], [0.0, 1.0])[0] == 0.0
 
     def test_known_angle(self):
         # cos of 45 degrees
         np.testing.assert_allclose(
-            cfs.cfs_score([1.0, 1.0], [1.0, 0.0]), 1.0 / np.sqrt(2.0), rtol=1e-15
+            cfs.check_distance_identity([1.0, 1.0], [1.0, 0.0])[0], 1.0 / np.sqrt(2.0),
+            rtol=1e-15
         )
 
     def test_matches_naive_oracle(self):
@@ -60,7 +64,7 @@ class TestCfsScore:
             u = rng.normal(size=8)
             v = rng.normal(size=8)
             np.testing.assert_allclose(
-                cfs.cfs_score(u, v), naive_cosine(u, v), rtol=1e-12
+                cfs.check_distance_identity(u, v)[0], naive_cosine(u, v), rtol=1e-12
             )
 
     @given(
@@ -74,22 +78,23 @@ class TestCfsScore:
         u = rng.normal(size=6)
         v = rng.normal(size=6)
         np.testing.assert_allclose(
-            cfs.cfs_score(alpha * u, beta * v), cfs.cfs_score(u, v), rtol=0, atol=1e-12
+            cfs.check_distance_identity(alpha * u, beta * v)[0],
+            cfs.check_distance_identity(u, v)[0], rtol=0, atol=1e-12
         )
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateFeatureError):
-            cfs.cfs_score([0.0, 0.0], [1.0, 0.0])
+            cfs.check_distance_identity([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(DegenerateFeatureError):
-            cfs.cfs_score([1.0, 0.0], [0.0, 0.0])
+            cfs.check_distance_identity([1.0, 0.0], [0.0, 0.0])
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            cfs.cfs_score(np.ones((2, 2)), np.ones(4))
+            cfs.check_distance_identity(np.ones((2, 2)), np.ones(4))
         with pytest.raises(DimensionError):
-            cfs.cfs_score([1.0, 2.0], [1.0, 2.0, 3.0])
+            cfs.check_distance_identity([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(DimensionError):
-            cfs.cfs_score([np.nan, 1.0], [1.0, 0.0])
+            cfs.check_distance_identity([np.nan, 1.0], [1.0, 0.0])
 
 
 class TestScoreCorpus:

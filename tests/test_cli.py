@@ -8,6 +8,8 @@ import pytest
 
 from cfs_curate import cli, divergence, formats, pipeline
 from cfs_curate.embeddings import EmbeddingSet
+from cfs_curate.errors import RangeError
+from conftest import assert_bitwise_equal, stacked_load_images
 
 
 def run(*argv):
@@ -226,6 +228,64 @@ class TestExitCodes:
         emb = tmp_path / "e.emb"
         assert run("embed", *sources, "--stem", "conv", "--out", str(emb)) == 1
         assert not emb.exists()
+
+
+class TestCorpusLoading:
+    """embed and cka read every image before they compare shapes: a shape
+    mismatch is a usage error naming every distinct shape, and a malformed
+    file anywhere in the list wins over it."""
+
+    @staticmethod
+    def write_images(directory, sides):
+        paths = []
+        for i, side in enumerate(sides):
+            path = directory / f"img-{i}.ppm"
+            rng = np.random.default_rng(i)
+            formats.write_image_ppm(rng.uniform(0, 1, (side, side, 3)), path)
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("command", ["embed", "cka"])
+    @pytest.mark.parametrize("sides", [(32, 16, 32), (16, 32), (32, 32, 16)])
+    def test_shape_mismatch_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                           command, sides):
+        paths = self.write_images(tmp_path, sides)
+        calls = []
+        read = cli.read_image_ppm
+        monkeypatch.setattr(cli, "read_image_ppm", lambda p: calls.append(p) or read(p))
+        out = tmp_path / "out"
+        assert run(command, *paths, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "cfs-curate: images disagree on shape: [(16, 16, 3), (32, 32, 3)]\n")
+        assert list(map(str, calls)) == paths  # every file read, in order
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["embed", "cka"])
+    def test_malformed_file_after_mismatch_is_data_error(self, tmp_path, capsys, command):
+        paths = self.write_images(tmp_path, (32, 16))
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6 2 1 255\n\x00\x00\x00")
+        out = tmp_path / "out"
+        assert run(command, *paths, str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"cfs-curate: {bad}: payload is 3 bytes, expected 6\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sides", [(16,), (16, 16, 16), (32,) * 5])
+    def test_batch_matches_stacked_list(self, tmp_path, sides):
+        paths = self.write_images(tmp_path, sides)
+        images = cli._load_images(paths)
+        assert images.flags.c_contiguous
+        assert_bitwise_equal(images, stacked_load_images(paths))
+
+    def test_mismatch_message_matches_stacked_list(self, tmp_path):
+        paths = self.write_images(tmp_path, (8, 16, 32, 16))
+        messages = []
+        for load in (cli._load_images, stacked_load_images):
+            with pytest.raises(RangeError) as caught:
+                load(paths)
+            messages.append(str(caught.value))
+        assert messages == 2 * ["images disagree on shape: [(8, 8, 3), (16, 16, 3), (32, 32, 3)]"]
 
 
 class TestPipeline:

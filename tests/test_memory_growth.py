@@ -5,9 +5,9 @@ difference of the two peaks over the difference of the sizes is its
 slope. The budgets are the slopes this helper measured at d = 32 before
 the score report was written from columns (score 1258, filter 527
 B/record), plus a margin of 10%. Written from columns, score reads
-about 918 and filter about 508 B/record. The select, hdh, cka, synth and
-augment budgets are their measured slopes plus 10%; each test's
-docstring gives the slope.
+about 918 and filter about 508 B/record. The select, hdh, cka, embed,
+synth and augment budgets are their measured slopes plus 10%; each
+test's docstring gives the slope.
 """
 
 import math
@@ -26,6 +26,8 @@ SELECT_BUDGET = 127_200  # bytes per --n-per-domain step
 HDH_BUDGET = 9_610  # bytes per record in each file
 CKA_BUDGET = 207_600  # bytes per image
 SYNTH_BUDGET = 54_100  # bytes per --n-per-domain step
+EMBED_BUDGET = 27_400  # bytes per 32x32 image
+EMBED_PAPER_SIZE_BUDGET = 866_000  # bytes per 256x128 image
 AUGMENT_CROP_BUDGET = 174  # bytes per pixel
 
 
@@ -111,6 +113,33 @@ def test_cka_bytes_per_image_within_budget(tmp_path):
                 "--out", str(tmp_path / f"cka-{n}.json")]
 
     assert bytes_per_record(argv_for, sizes=(64, 256)) <= CKA_BUDGET
+
+
+def embed_argv(directory, n: int, height: int, width: int):
+    """``embed`` of n random height x width PPM images."""
+    images = directory / f"img-{height}x{width}-{n}"
+    images.mkdir()
+    rng = np.random.default_rng(n)
+    paths = [str(images / f"im-{i:04d}.ppm") for i in range(n)]
+    for path in paths:
+        formats.write_image_ppm(rng.uniform(0, 1, (height, width, 3)), path)
+    return ["embed", *paths, "--out", str(directory / f"embed-{height}x{width}-{n}.emb")]
+
+
+def test_embed_bytes_per_image_within_budget(tmp_path):
+    """About 24.9 KB per 32x32 image (64 -> 256 images), 24 576 B of it
+    the image's one place in the float64 batch (41.7 KB while the corpus
+    was held as an image list and its np.stack copy)."""
+    slope = bytes_per_record(lambda n: embed_argv(tmp_path, n, 32, 32), sizes=(64, 256))
+    assert slope <= EMBED_BUDGET
+
+
+def test_embed_paper_size_bytes_per_image_within_budget(tmp_path):
+    """About 787 KB per image at the paper's 256x128 input size (8 -> 32
+    images): one float64 copy of the image, 786 432 B (1.57 MB with the
+    image list and its np.stack copy)."""
+    slope = bytes_per_record(lambda n: embed_argv(tmp_path, n, 256, 128), sizes=(8, 32))
+    assert slope <= EMBED_PAPER_SIZE_BUDGET
 
 
 def test_synth_bytes_per_step_within_budget(tmp_path):

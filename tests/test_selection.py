@@ -182,7 +182,7 @@ class TestKmeans:
             assert len(np.unique(got, axis=0)) == 2  # a kept duplicate
             assert history == [0.0]
 
-    def test_tie_rule_on_lattice_duplicates(self):
+    def test_tie_rule_on_lattice_duplicates(self, monkeypatch):
         """Lattice points with many duplicates put points on exact ties of
         true distance, which GEMM-form distances may split either way.
         Each round, every point goes to a nearest center (up to rounding),
@@ -191,17 +191,21 @@ class TestKmeans:
         its previous center bitwise."""
         rng = np.random.default_rng(21)
         split_ties = 0
+        max_iter = selection.KMEANS_MAX_ITER
         for seed in range(40):
             n = int(rng.integers(10, 80))
             d = int(rng.integers(1, 5))
             k = int(rng.integers(2, 12))
             x = rng.integers(-2, 3, size=(n, d)) * 0.1
             history = []
+            monkeypatch.setattr(selection, "KMEANS_MAX_ITER", max_iter)
             selection.kmeans_fit(x, k, seed, history=history)
             assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
-            prev = selection.kmeans_fit(x, k, seed, max_iter=0)
+            monkeypatch.setattr(selection, "KMEANS_MAX_ITER", 0)
+            prev = selection.kmeans_fit(x, k, seed)
             for rounds in range(1, len(history) + 1):
-                cur = selection.kmeans_fit(x, k, seed, max_iter=rounds)
+                monkeypatch.setattr(selection, "KMEANS_MAX_ITER", rounds)
+                cur = selection.kmeans_fit(x, k, seed)
                 true_d2 = ((x[:, None, :] - prev[None, :, :]) ** 2).sum(axis=-1)
                 gemm_d2 = (x * x).sum(axis=1)[:, None] - 2 * (x @ prev.T) + (prev * prev).sum(axis=1)
                 assign = gemm_d2.argmin(axis=1)
@@ -219,12 +223,13 @@ class TestKmeans:
                 prev = cur
         assert split_ties > 0  # the corpus does exercise ties
 
-    def test_peak_memory_is_order_n_k(self):
+    def test_peak_memory_is_order_n_k(self, monkeypatch):
         """No N x k x d temporary: 65 MB at this size."""
         rng = np.random.default_rng(22)
         n, d, k = 4000, 32, 64
         x = rng.normal(size=(n, d))
-        peak = traced_peak(lambda: selection.kmeans_fit(x, k, seed=0, max_iter=3))
+        monkeypatch.setattr(selection, "KMEANS_MAX_ITER", 3)
+        peak = traced_peak(lambda: selection.kmeans_fit(x, k, seed=0))
         assert peak <= 2 * n * k * 8, f"peak {peak / (n * k * 8):.2f} N*k float64"
 
     def test_objective_value(self):

@@ -87,10 +87,17 @@ def filter_top(scores: ScoreTable, n_prime: int) -> list[str]:
 
 
 def count_for_ratio(n: int, ratio: float) -> int:
-    """floor(ratio * n); the subset size a selection ratio denotes."""
+    """floor(ratio * n), the subset size a selection ratio denotes, with the
+    ratio read exactly as the shortest decimal that prints as it: 0.29 of
+    100 is 29, though the float product is 28.999999999999996. 1/3 reads
+    as 0.3333333333333333, so 1/3 of 3 records selects nothing."""
     if not 0 < ratio <= 1:
         raise RangeError(f"ratio must be in (0, 1], got {ratio}")
-    count = int(np.floor(ratio * n))
+    # the shortest decimal that prints as the ratio, as digits * 10**-scale
+    mantissa, _, exponent = repr(float(ratio)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    scale = len(fraction) - int(exponent or 0)
+    count = int(whole + fraction) * n // 10**scale
     if count < 1:
         raise RangeError(f"ratio {ratio} of {n} records selects nothing")
     return count
@@ -103,27 +110,32 @@ def theorem_threshold(epsilon: float) -> float:
     return 1.0 - epsilon * epsilon / 8.0
 
 
-def check_distance_identity(f_source, f_target) -> tuple[float, float, float]:
+def check_distance_identity(f_source, f_target) -> tuple:
     """Cosine c, unit-normalized distance d, and the identity residual.
 
     Returns ``(c, d, |d^2 - (2 - 2c)|)``; the residual is zero in exact
-    arithmetic and stays below 1e-10 in floats. Both features must be
-    finite, nonzero 1-D vectors of one length.
+    arithmetic and stays below 1e-10 in floats. Two 1-D vectors give three
+    floats; two (N, D) matrices give three length-N arrays, row i bitwise
+    the 1-D call on row i, with c computed as :func:`score_corpus` scores.
+    Both features must be finite, nonempty, of one shape, no row zero-norm.
     """
     a = np.asarray(f_source, dtype=np.float64)
     b = np.asarray(f_target, dtype=np.float64)
     for arr, name in ((a, "f_source"), (b, "f_target")):
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
+        if arr.ndim not in (1, 2) or arr.size == 0:
+            raise DimensionError(f"{name} must be a nonempty vector or matrix, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise DimensionError(f"{name} contains NaN or Inf")
     if a.shape != b.shape:
         raise DimensionError(f"feature dims differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    rows_a, rows_b = np.atleast_2d(a, b)
+    na = np.linalg.norm(rows_a, axis=1)
+    nb = np.linalg.norm(rows_b, axis=1)
+    if not (na.all() and nb.all()):
         raise DegenerateFeatureError("zero-norm feature vector")
-    c = float(np.dot(a, b) / (na * nb))
-    d = float(np.linalg.norm(b / nb - a / na))
-    residual = abs(d * d - (2.0 - 2.0 * c))
+    c = np.einsum("nd,nd->n", rows_a, rows_b) / (na * nb)
+    d = np.linalg.norm(rows_b / nb[:, None] - rows_a / na[:, None], axis=1)
+    residual = np.abs(d * d - (2.0 - 2.0 * c))
+    if a.ndim == 1:
+        return float(c[0]), float(d[0]), float(residual[0])
     return c, d, residual

@@ -49,6 +49,7 @@ from .synth import ShiftSpec, synth_corpus
 CHECK_PROBE_SEED = 5
 CHECK_IDENTITY_PAIRS = 10_000
 CHECK_EQUIVALENCE_PAIRS = 1_000
+CHECK_EPSILONS = np.arange(0.1, 0.95, 0.1)
 CHECK_COORDS_PER_TENSOR = 3
 CHECK_GRAD_TOLERANCE = 1e-4
 
@@ -262,23 +263,27 @@ def _cmd_synth(args) -> int:
 
 
 def _identity_self_test(rng) -> dict:
+    """The distance identity over CHECK_IDENTITY_PAIRS pairs, and its
+    threshold equivalence on CHECK_EQUIVALENCE_PAIRS of them per epsilon.
+    As in acceptance criterion 2, half the pairs are near-duplicates
+    (v = u + noise * U(0, 0.8)), so cosines reach the thresholds;
+    ``within_threshold`` counts the compared pairs that do."""
     u = rng.normal(size=(CHECK_IDENTITY_PAIRS, 16))
     v = rng.normal(size=(CHECK_IDENTITY_PAIRS, 16))
-    un = u / np.linalg.norm(u, axis=1, keepdims=True)
-    vn = v / np.linalg.norm(v, axis=1, keepdims=True)
-    c = np.einsum("nd,nd->n", un, vn)
-    d = np.linalg.norm(vn - un, axis=1)
-    residuals = np.abs(d**2 - (2.0 - 2.0 * c))
-    violations = 0
-    for epsilon in np.arange(0.1, 0.95, 0.1):
+    half = CHECK_IDENTITY_PAIRS // 2
+    v[:half] = u[:half] + v[:half] * rng.uniform(0.0, 0.8, size=(half, 1))
+    c, d, residuals = cfs.check_distance_identity(u, v)
+    violations = within = 0
+    for epsilon in CHECK_EPSILONS:
         threshold = cfs.theorem_threshold(float(epsilon))
         idx = rng.integers(0, CHECK_IDENTITY_PAIRS, size=CHECK_EQUIVALENCE_PAIRS)
-        violations += int(np.sum(
-            (c[idx] >= threshold) != (d[idx] <= epsilon / 2.0)
-        ))
+        close = c[idx] >= threshold
+        within += int(np.sum(close))
+        violations += int(np.sum(close != (d[idx] <= epsilon / 2.0)))
     return {
         "max_residual": float(residuals.max()),
         "equivalence_violations": violations,
+        "within_threshold": within,
     }
 
 
@@ -322,6 +327,7 @@ def _cmd_check(args) -> int:
     passed = (
         identity["max_residual"] <= 1e-10
         and identity["equivalence_violations"] == 0
+        and 0 < identity["within_threshold"] < len(CHECK_EPSILONS) * CHECK_EQUIVALENCE_PAIRS
         and all(v <= CHECK_GRAD_TOLERANCE for v in gradients.values())
     )
     results = {

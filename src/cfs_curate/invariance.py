@@ -8,8 +8,8 @@ per-image arithmetic, so a batch gives bitwise the images a loop over
 it gives. All six transforms are pure functions, so an invariance
 report is reproducible bit for bit. ``invariance_report`` encodes each
 (N, H, W, 3) corpus in one forward pass, its stem's batch norms taking
-statistics over the whole corpus (``mode="batch"``) or over each image
-alone (``mode="per_image"``, what corpus embedding uses).
+statistics over the whole corpus (``mode="batch"``); per-sample
+statistics are what ``pipeline.embed_images`` gives.
 """
 
 from __future__ import annotations
@@ -159,22 +159,20 @@ def invariance_report(config: enc.ViTConfig, params, images, specs=None,
 
     The corpus is encoded once, then re-encoded after each augmentation,
     each time in one forward pass; one entry per requested augmentation,
-    in request order. The default ``mode="batch"`` lets batch-norm stems
-    see the whole corpus, which is the regime where the stem variants
-    differ; ``mode="per_image"`` uses per-sample statistics, the features
-    corpus embedding gives.
+    in request order. ``mode="batch"``, the only mode, lets batch-norm
+    stems see the whole corpus, which is the regime where the stem
+    variants differ.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[0] < 2 or images.shape[-1] != 3:
         raise DimensionError("invariance_report needs at least 2 (H, W, 3) images")
-    if mode not in ("batch", "per_image"):
-        raise ConfigError(f"mode must be 'batch' or 'per_image', got {mode!r}")
+    if mode != "batch":
+        raise ConfigError(f"mode must be 'batch', got {mode!r}")
     if specs is None:
         specs = default_specs()
 
     def encode(batch):
-        return enc.encoder_forward(batch.transpose(0, 3, 1, 2), config, params,
-                                   per_sample=(mode == "per_image"))
+        return enc.encoder_forward(batch.transpose(0, 3, 1, 2), config, params)
 
     base = encode(images)
     entries = []

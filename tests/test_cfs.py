@@ -244,6 +244,17 @@ class TestCountForRatio:
         with pytest.raises(RangeError):
             cfs.count_for_ratio(1, 0.3)
 
+    @pytest.mark.parametrize("ratio, count", [(0.29, 29), (0.57, 57), (0.58, 58)])
+    def test_ratio_read_as_written_decimal(self, ratio, count):
+        # the float products are 28.999999999999996, 56.99999999999999, 57.99999999999999
+        assert cfs.count_for_ratio(100, ratio) == count
+        assert cfs.count_for_ratio(100, np.float64(ratio)) == count
+
+    def test_third_of_three_selects_nothing(self):
+        # 1/3 reads as 0.3333333333333333, and that of 3 records is under 1
+        with pytest.raises(RangeError, match="selects nothing"):
+            cfs.count_for_ratio(3, 1 / 3)
+
 
 class TestTheoremThreshold:
     def test_known_value(self):
@@ -300,3 +311,54 @@ class TestDistanceIdentity:
                 v = u + rng.normal(size=8) * rng.uniform(0.0, 0.6)
                 c, d, _ = cfs.check_distance_identity(u, v)
                 assert (c >= threshold) == (d <= eps / 2.0)
+
+
+ROW_SHAPES = [(20_000, 32), (3000, 32), (500, 7), (64, 384)]
+
+
+class TestDistanceIdentityRows:
+    """Two (N, D) matrices give one (c, d, residual) per row."""
+
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    def test_rows_are_the_vector_calls(self, shape):
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=shape)
+        v = u + rng.normal(size=shape) * rng.uniform(0.0, 0.8, size=(shape[0], 1))
+        rows = cfs.check_distance_identity(u, v)
+        assert all(col.shape == (shape[0],) for col in rows)
+        for i in rng.choice(shape[0], size=min(shape[0], 200), replace=False):
+            assert tuple(col[i] for col in rows) == cfs.check_distance_identity(u[i], v[i])
+
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    def test_row_cosine_is_score_corpus_score(self, shape):
+        by_s, by_t = random_sets(4, *shape)
+        c, _, residual = cfs.check_distance_identity(by_s.features, by_t.features)
+        table = cfs.score_corpus(by_s, by_t)
+        score_of = dict(zip(table.ids, table.scores.tolist()))
+        assert c.tobytes() == np.array([score_of[rid] for rid in by_s.ids]).tobytes()
+        assert residual.max() <= 1e-10
+
+    def test_zero_norm_row_rejected(self):
+        u = np.ones((4, 3))
+        v = np.ones((4, 3))
+        v[2] = 0.0
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(DegenerateFeatureError):
+                cfs.check_distance_identity(a, b)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 3), (4, 2)), ((4, 3), (5, 3)),
+                                                  ((4, 3), (3,)), ((3,), (4, 3))])
+    def test_mismatched_shapes_rejected(self, a_shape, b_shape):
+        with pytest.raises(DimensionError, match="feature dims differ"):
+            cfs.check_distance_identity(np.ones(a_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (2, 2, 2)])
+    def test_empty_or_three_axes_rejected(self, shape):
+        with pytest.raises(DimensionError, match="nonempty vector or matrix"):
+            cfs.check_distance_identity(np.ones(shape), np.ones(shape))
+
+    def test_non_finite_row_rejected(self):
+        u = np.ones((4, 3))
+        u[1, 2] = np.nan
+        with pytest.raises(DimensionError, match="NaN or Inf"):
+            cfs.check_distance_identity(u, np.ones((4, 3)))

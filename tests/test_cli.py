@@ -1,11 +1,17 @@
 """Command-line interface: pipelines, determinism, exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfs_curate
 from cfs_curate import cli, divergence, formats, pipeline
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import RangeError
@@ -422,6 +428,9 @@ class TestPipeline:
         assert doc["results"]["passed"] is True
         assert doc["results"]["identity"]["equivalence_violations"] == 0
         assert doc["results"]["identity"]["max_residual"] <= 1e-10
+        # the equivalence is tested only where some compared pairs reach the
+        # threshold: 9 epsilons x 1000 pairs
+        assert 0 < doc["results"]["identity"]["within_threshold"] < 9000
         for value in doc["results"]["gradient_max_relative_error"].values():
             assert value <= 1e-4
 
@@ -447,6 +456,39 @@ class TestDeterminism:
         twice("hdh", "hdh", str(emb), str(emb))
         twice("bound", "bound", "--d-hdh", "0", "--f-hat-t", "0", "--f-t-star", "0",
               "--f-s-star", "0", "--vc-dim", "1", "--n", "100", "--delta", "0.5")
+
+    def test_outputs_byte_identical_across_blas_threads(self, tmp_path):
+        """The same small recipe under one and two OpenBLAS threads writes
+        the same bytes. Each run has its own directory and relative paths,
+        since reports hold their input paths."""
+        recipe = textwrap.dedent("""\
+            from glob import glob
+            from cfs_curate.cli import main
+            def run(*argv):
+                assert main(list(argv)) == 0, argv
+            run("synth", "--seed", "5", "--n-per-domain", "64", "--height", "32",
+                "--width", "32", "--brightness", "0.2", "--out", "img")
+            src, tgt = sorted(glob("img/src-*.ppm")), sorted(glob("img/tgt-*.ppm"))
+            run("embed", *src, "--stem", "conv", "--out", "src.emb")
+            run("embed", *tgt, "--stem", "conv", "--out", "tgt.emb")
+            run("cka", *src, "--stem", "ics", "--out", "cka.json")
+            run("hdh", "src.emb", "tgt.emb", "--max-thresholds", "64", "--out", "hdh.json")
+            run("select", "--seed", "3", "--n-per-domain", "48", "--k", "8",
+                "--out", "select.json")
+        """)
+        package_root = str(Path(cfs_curate.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            workdir = tmp_path / f"threads-{threads}"
+            workdir.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
+            subprocess.run([sys.executable, "-c", recipe], cwd=workdir, env=env,
+                           check=True, timeout=60)
+            outputs.append({str(p.relative_to(workdir)): p.read_bytes()
+                            for p in sorted(workdir.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 2 * 64 + 1 + 5
+        assert outputs[0] == outputs[1]
 
     def test_reports_equal_json_dumps_oracle(self, tmp_path):
         """Every tool's report, on the acceptance-gate corpus, is exactly

@@ -322,9 +322,14 @@ class TestInvarianceReport:
         with pytest.raises(DimensionError, match=r"at least 2 \(H, W, 3\) images"):
             invariance.invariance_report(config, params, np.full(shape, 0.5))
 
-    def test_per_image_mode_scores_equal_corpus_embedding(self):
-        """mode="per_image" encodes in one pass what embed_images encodes in
-        chunks, bitwise; with a batch-norm stem mode="batch" differs."""
+    def test_per_image_mode_rejected(self):
+        config, params = small_model()
+        with pytest.raises(ConfigError, match="mode must be 'batch'"):
+            invariance.invariance_report(config, params, sample_images(), mode="per_image")
+
+    def test_batch_mode_differs_from_corpus_embedding(self):
+        """With a batch-norm stem, batch-mode CKA is not the CKA of the
+        per-sample features embed_images gives."""
         stem = stems.StemConfig("ics", embed_dim=16, patch_stride=8)
         config = encoder.ViTConfig(depth=1, heads=2, embed_dim=16, stem=stem,
                                    image_size=(16, 16))
@@ -332,7 +337,6 @@ class TestInvarianceReport:
         images = sample_images()
         ids = [str(i) for i in range(len(images))]
         specs = invariance.default_specs()
-        report = invariance.invariance_report(config, params, images, specs, mode="per_image")
 
         def features(batch):
             return pipeline.embed_images(batch, ids, config, params).features
@@ -340,6 +344,5 @@ class TestInvarianceReport:
         base = features(images)
         want = [invariance.cka_linear(base, features(invariance.augment(images, spec)))
                 for spec in specs]
-        assert [e.score for e in report.entries] == want
         batch = invariance.invariance_report(config, params, images, specs, mode="batch")
         assert [e.score for e in batch.entries] != want

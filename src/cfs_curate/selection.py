@@ -5,7 +5,10 @@ Fine-tuning benchmarks are out of reach at desk scale, so strategies are
 compared on two proxies: the mean forgetting score of the selected subset
 (which the score-ranked strategy maximizes by construction) and the mean
 nearest-target cosine (how close each selected record sits to the target
-corpus in the shared source-proxy feature space).
+corpus in the shared source-proxy feature space). Both are means over the
+selected records in record order, so they depend on the selected set
+only. Cosines and k-means distances are GEMMs taken ``BLOCK_ROWS`` rows
+at a time, so no N x M or N x k matrix is ever held.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .embeddings import EmbeddingSet
 from .errors import DegenerateFeatureError, RangeError
 
 STRATEGIES = ("random", "cluster", "cfs")
-# feature rows per cosine block in _max_cosine_to_rows
-BLOCK_ROWS = 256
+# rows per GEMM block in _max_cosine_to_rows and the k-means assignment
+BLOCK_ROWS = 64
 # kmeans_fit stops once no center moves farther than KMEANS_TOL in a
 # round, or after KMEANS_MAX_ITER rounds
 KMEANS_TOL = 1e-6
@@ -82,12 +85,20 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
     objective (summed squared distance of each point to its assigned
     center) is appended each round.
 
-    Each round takes O(N*k) memory. A point goes to the center of least
-    GEMM-form distance ||x||^2 - 2 x.c + ||c||^2, the lowest center index
-    on an exact tie of that value. The form rounds differently from the
-    direct sum of (x - c)^2, so a point on an exact or near tie of true
-    distances (duplicate centers, lattice data) may go to either of the
-    tied centers; the objective is still computed directly, and is
+    Seeding reuses one N x d difference buffer and sums each row's
+    squares with ``einsum``, which rounds differently from ``.sum(axis=1)``;
+    a draw depends on those sums only through ``rng.choice``'s CDF, so it
+    can differ from a ``.sum`` form only where the uniform lands within
+    rounding of a CDF boundary.
+
+    Each round takes the assignment ``BLOCK_ROWS`` points at a time, so
+    memory is O(N*d + BLOCK_ROWS*k) whatever k is. A point goes to the
+    center of least GEMM-form distance ||x||^2 - 2 x.c + ||c||^2, the
+    lowest center index on an exact tie of that value. The form rounds
+    differently from the direct sum of (x - c)^2, so a point on an exact
+    or near tie of true distances (duplicate centers, lattice data) may
+    go to either of the tied centers; the objective is still computed
+    directly, and is
     non-increasing up to rounding. A center is the mean of its members,
     summed in index order; a cluster that loses all members keeps its
     previous center.
@@ -102,7 +113,9 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
     rng = np.random.default_rng(seed)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    closest = ((x - centers[0]) ** 2).sum(axis=1)
+    diff = np.subtract(x, centers[0])
+    closest = np.einsum("ij,ij->i", diff, diff)
+    dist = np.empty(n)
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -110,16 +123,21 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
         else:  # remaining points coincide with chosen centers
             idx = rng.integers(n)
         centers[j] = x[idx]
-        closest = np.minimum(closest, ((x - centers[j]) ** 2).sum(axis=1))
+        np.subtract(x, centers[j], out=diff)
+        np.minimum(closest, np.einsum("ij,ij->i", diff, diff, out=dist), out=closest)
+    del diff, dist, closest
 
     x_sq = (x * x).sum(axis=1)[:, None]
+    assign = np.empty(n, dtype=np.intp)
+    d2 = np.empty((min(BLOCK_ROWS, n), k))
     for _ in range(KMEANS_MAX_ITER):
-        d2 = x @ centers.T
-        d2 *= -2.0
-        d2 += x_sq
-        d2 += (centers * centers).sum(axis=1)
-        assign = d2.argmin(axis=1)
-        del d2
+        c_sq = (centers * centers).sum(axis=1)
+        for block in _row_blocks(n):
+            np.matmul(x[block], centers.T, out=d2)
+            d2 *= -2.0
+            d2 += x_sq[block]
+            d2 += c_sq
+            d2.argmin(axis=1, out=assign[block])
         if history is not None:
             history.append(float(((x - centers[assign]) ** 2).sum(axis=-1).sum()))
         # per-column bincounts add each cluster's members in index order
@@ -137,22 +155,41 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
     return centers
 
 
+def _row_blocks(n: int):
+    """Slices of ``BLOCK_ROWS`` consecutive rows covering range(n). The
+    last block ends at n and overlaps its predecessor, so every block has
+    min(BLOCK_ROWS, n) rows and a one-row tail never reaches BLAS as a
+    matrix-vector product, which rounds differently from GEMM."""
+    m = min(BLOCK_ROWS, n)
+    for start in range(0, n, BLOCK_ROWS):
+        start = min(start, n - m)
+        yield slice(start, start + m)
+
+
 def _max_cosine_to_rows(features: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
     """Per-feature max cosine similarity against any of ``rows``.
 
-    Features are taken ``BLOCK_ROWS`` at a time, so memory is
-    O(BLOCK_ROWS * M) for M rows rather than a whole N x M matrix.
+    Features and rows are scaled to unit norm once; each block of
+    ``BLOCK_ROWS`` features is one GEMM into a reused buffer, so memory is
+    O(BLOCK_ROWS * M + N * d) for M rows of dimension d rather than a
+    whole N x M matrix. A cosine is the dot product of the two unit rows,
+    within about 1e-15 of dot / (||f|| ||r||). Its bits depend on
+    ``BLOCK_ROWS`` only where BLAS picks another kernel for a block than
+    for the whole matrix: OpenBLAS sends one-row products to gemv and, on
+    AVX-512 x86-64, products with M * BLOCK_ROWS <= 1200 and d >= 32 to a
+    small-matrix kernel, either of which can move a cosine by an ulp.
     """
     f_norms = np.linalg.norm(features, axis=1)
     r_norms = np.linalg.norm(rows, axis=1)
     if (f_norms == 0).any() or (r_norms == 0).any():
         raise DegenerateFeatureError(f"zero-norm vector in {what}")
+    units = features / f_norms[:, None]
+    rows_t = (rows / r_norms[:, None]).T
     best = np.empty(len(features))
-    for start in range(0, len(features), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        sims = features[block] @ rows.T
-        sims /= np.outer(f_norms[block], r_norms)
-        best[block] = sims.max(axis=1)
+    sims = np.empty((min(BLOCK_ROWS, len(features)), len(rows)))
+    for block in _row_blocks(len(features)):
+        np.matmul(units[block], rows_t, out=sims)
+        sims.max(axis=1, out=best[block])
     return best
 
 
@@ -181,11 +218,12 @@ def compare_strategies(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: Embed
     random strategy when one is present among ``configs``.
     """
     table = cfs.score_corpus(source_by_proxy_s, source_by_proxy_t)
-    score_by_id = dict(zip(table.ids, table.scores.tolist()))
+    index = {record_id: i for i, record_id in enumerate(source_by_proxy_s.ids)}
+    scores = np.empty(len(index))
+    scores[[index[i] for i in table.ids]] = table.scores
     nearest = _max_cosine_to_rows(
         source_by_proxy_s.features, target.features, "nearest-target metric"
     )
-    nearest_by_id = dict(zip(source_by_proxy_s.ids, nearest))
 
     reports = []
     for config in configs:
@@ -199,11 +237,14 @@ def compare_strategies(source_by_proxy_s: EmbeddingSet, source_by_proxy_t: Embed
         else:
             n_prime = cfs.count_for_ratio(len(source_by_proxy_s), config.ratio)
             selected = cfs.filter_top(table, n_prime)
+        # means over the selected rows in record order depend on the set only
+        mask = np.zeros(len(index), dtype=bool)
+        mask[[index[i] for i in selected]] = True
         reports.append(SelectionReport(
             strategy=config.strategy,
             selected_ids=list(selected),
-            mean_cfs=float(np.mean([score_by_id[i] for i in selected])),
-            mean_nearest_target_cosine=float(np.mean([nearest_by_id[i] for i in selected])),
+            mean_cfs=float(scores[mask].mean()),
+            mean_nearest_target_cosine=float(nearest[mask].mean()),
             kmeans_iterations=len(history) if history else None,
             kmeans_objective=history[-1] if history else None,
         ))

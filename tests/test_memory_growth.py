@@ -7,7 +7,8 @@ the score report was written from columns (score 1258, filter 527
 B/record), plus a margin of 10%. Written from columns, score reads
 about 918 and filter about 508 B/record. The select, hdh, cka, embed,
 synth and augment budgets are their measured slopes plus 10%; each
-test's docstring gives the slope.
+test's docstring gives the slope. The k-means budget is per added
+center, set from the arrays a fit holds rather than from a measurement.
 """
 
 import math
@@ -16,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 
-from cfs_curate import cli, formats
+from cfs_curate import cli, formats, selection
 
 SIZES = (5_000, 20_000)
 DIM = 32
@@ -29,6 +30,9 @@ SYNTH_BUDGET = 54_100  # bytes per --n-per-domain step
 EMBED_BUDGET = 27_400  # bytes per 32x32 image
 EMBED_PAPER_SIZE_BUDGET = 866_000  # bytes per 256x128 image
 AUGMENT_CROP_BUDGET = 174  # bytes per pixel
+# four k x d float64 arrays (centers, new centers, sums, their shift) at
+# d = 32 are 1 KiB per center, the BLOCK_ROWS x k distance block 512 B
+KMEANS_CENTER_BUDGET = 2048  # bytes per added center
 
 
 def bytes_per_record(argv_for, sizes=SIZES) -> float:
@@ -166,3 +170,23 @@ def test_augment_crop_bytes_per_pixel_within_budget(tmp_path):
                 "--out", str(tmp_path / f"crop-{side}.ppm")]
 
     assert bytes_per_record(argv_for, sizes=(64 * 64, 256 * 256)) <= AUGMENT_CROP_BUDGET
+
+
+def test_kmeans_bytes_per_center_within_budget(monkeypatch):
+    """kmeans_fit's tracemalloc peak over k = 16 -> 256 centers at N =
+    20 000, d = 32, three Lloyd rounds. A whole N x k distance matrix
+    would cost 8 N = 160 000 B per center; the assignment takes row
+    blocks, so what grows with k is O(k d + BLOCK_ROWS k)."""
+    monkeypatch.setattr(selection, "KMEANS_MAX_ITER", 3)
+    x = np.random.default_rng(24).normal(size=(20_000, 32))
+    sizes = (16, 256)
+    selection.kmeans_fit(x, sizes[0], seed=0)
+    peaks = []
+    for k in sizes:
+        tracemalloc.start()
+        try:
+            selection.kmeans_fit(x, k, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= KMEANS_CENTER_BUDGET

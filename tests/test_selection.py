@@ -32,6 +32,20 @@ def unblocked_max_cosine(features, rows):
     return sims.max(axis=1)
 
 
+def unit_row_max_cosine(features, rows):
+    """_max_cosine_to_rows as one whole-matrix GEMM of unit rows."""
+    units = features / np.linalg.norm(features, axis=1)[:, None]
+    rows_t = (rows / np.linalg.norm(rows, axis=1)[:, None]).T
+    return (units @ rows_t).max(axis=1)
+
+
+def scaled_normals(seed, n, m, d):
+    """n features of norms 0.1 to 10 and m standard normal rows."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * rng.uniform(0.1, 10, size=(n, 1))
+    return features, rng.normal(size=(m, d))
+
+
 def oracle_shapes():
     """Seeded float32-stored inputs for the loop oracle: blobs and plain
     normals, d from 1 to 23, with k = 1, k = n and k in between."""
@@ -170,6 +184,19 @@ class TestKmeans:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x.shape, k)
             assert got_history == want_history, (x.shape, k)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 256])
+    def test_row_blocks_keep_add_at_oracle_bits(self, monkeypatch, block_rows):
+        """Lloyd assignment in row blocks of any size, with n below, at and
+        above the block size, gives the oracle's centers and history on
+        continuous data."""
+        monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+        for x, k, seed in list(oracle_shapes())[::4]:
+            got_history, want_history = [], []
+            got = selection.kmeans_fit(x, k, seed, history=got_history)
+            want = add_at_kmeans_fit(x, k, seed, history=want_history)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x.shape, k)
+            assert got_history == want_history, (x.shape, k)
+
     def test_empty_cluster_keeps_center_as_loop_oracle(self):
         """Two seeded centers on one point: the higher-indexed one gets no
         members in round one and keeps its previous center."""
@@ -254,6 +281,46 @@ class TestMaxCosine:
         assert got.shape == (n,)
         np.testing.assert_allclose(got, unblocked_max_cosine(features, rows), rtol=0, atol=1e-12)
 
+    # (n, m, d): the select benchmark's nearest-target shape, then odd
+    # shapes with n below, at and just above block sizes; every block size
+    # here gives M * BLOCK_ROWS > 1200 or d < 32 (see _max_cosine_to_rows)
+    BITWISE_SHAPES = [(3000, 2400, 32), (1, 7, 16), (65, 40, 16), (257, 129, 7),
+                      (700, 19, 3), (1025, 200, 48)]
+
+    @pytest.mark.parametrize("n, m, d", BITWISE_SHAPES)
+    def test_bits_independent_of_block_rows(self, monkeypatch, n, m, d):
+        """Block sizes 7, 64, 256 and n give the same bits: every block
+        has the same rows, products and maxima as the whole matrix's."""
+        features, rows = scaled_normals(n + m + d, n, m, d)
+        results = []
+        for block_rows in (7, 64, 256, n):
+            monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows)
+            results.append(selection._max_cosine_to_rows(features, rows, "test"))
+        for got in results[1:]:
+            assert np.array_equal(got.view(np.int64), results[0].view(np.int64))
+
+    @pytest.mark.parametrize("n, m, d", BITWISE_SHAPES)
+    def test_bitwise_equal_to_unit_row_oracle(self, n, m, d):
+        """At the default BLOCK_ROWS, the cosines are those of one
+        whole-matrix GEMM of unit rows, sign bits included."""
+        features, rows = scaled_normals(n + m + d, n, m, d)
+        got = selection._max_cosine_to_rows(features, rows, "test")
+        want = unit_row_max_cosine(features, rows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 256, None])
+    @pytest.mark.parametrize("n, m, d", [*BITWISE_SHAPES, (300, 8, 32), (129, 64, 40)])
+    def test_within_tolerance_of_per_pair_form(self, monkeypatch, n, m, d, block_rows):
+        """Unit rows move each cosine from dot / (||f|| ||r||) by at most
+        absolute 2e-15, at every block size; one-row blocks (BLAS gemv)
+        and small products (OpenBLAS's small-matrix kernel, the last two
+        shapes) round differently from the whole matrix but stay inside
+        the same tolerance."""
+        monkeypatch.setattr(selection, "BLOCK_ROWS", block_rows or n)
+        features, rows = scaled_normals(n + m + d, n, m, d)
+        got = selection._max_cosine_to_rows(features, rows, "test")
+        np.testing.assert_allclose(got, unblocked_max_cosine(features, rows), rtol=0, atol=2e-15)
+
     def test_peak_memory_is_one_block(self):
         """3000 x 2400: three whole similarity matrices would be 170 MB."""
         rng = np.random.default_rng(23)
@@ -333,8 +400,12 @@ class TestCompareStrategies:
         for other in ("random", "cluster"):
             assert by_strategy["cfs"].mean_cfs >= by_strategy[other].mean_cfs
 
-    def test_ratio_one_identical_metrics(self):
-        by_s, by_t, target = self.sets()
+    @pytest.mark.parametrize("seed", [*range(10), 12])
+    def test_ratio_one_identical_metrics(self, seed):
+        """At ratio 1 every strategy selects every record, in its own
+        order; the means depend on the set only, so all three are equal.
+        Seed 12 is the default of ``sets``."""
+        by_s, by_t, target = self.sets(seed)
         reports = selection.compare_strategies(by_s, by_t, target, self.configs(1.0))
         cfs_means = {r.mean_cfs for r in reports}
         nt_means = {r.mean_nearest_target_cosine for r in reports}

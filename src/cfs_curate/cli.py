@@ -20,7 +20,13 @@ import numpy as np
 
 from . import cfs, divergence, ops, selection, stems
 from .embeddings import check_unique_ids
-from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
+from .encoder import (
+    encoder_backward,
+    encoder_forward_cached,
+    forward_from_tokens,
+    init_params,
+    stem_subparams,
+)
 from .errors import DimensionError, FormatError, RangeError
 from .formats import (
     Columns,
@@ -287,18 +293,62 @@ def _identity_self_test(rng) -> dict:
     }
 
 
+def _probe_stage(key: str, depth: int) -> int:
+    """First forward stage that parameter ``key`` feeds, for a stem ladder
+    of ``depth`` layers: ladder layer i for ``stem.conv{i}_*`` and
+    ``stem.norm{i}_*``, ``depth`` (the projection) for ``stem.proj_*``,
+    ``depth + 1`` (the encoder from the tokens) for every other key."""
+    name = key.removeprefix("stem.")
+    if name == key:
+        return depth + 1
+    if name.startswith("proj_"):
+        return depth
+    return int(name[len("conv"):name.index("_")])
+
+
+def _resumable_loss(images, weight, config, params):
+    """``loss(key)``: ``sum(features * weight)`` of ``images`` at the
+    current ``params``, recomputed from the stage :func:`_probe_stage`
+    gives for ``key``.
+
+    The input of every stage is computed here once, at the values
+    ``params`` hold now. While no tensor but ``params[key]`` has changed
+    since, ``loss(key)`` runs the operations of a full forward on
+    bitwise-equal inputs, so it returns the full forward's bits.
+    """
+    stem_config, stem_params = config.stem, stem_subparams(params)
+    depth = len(stem_config.channel_ladder)
+    inputs = [images]
+    for i in range(depth):
+        inputs.append(stems.ladder_layer(inputs[i], i, stem_config, stem_params)[0])
+    inputs.append(stems.project_tokens(inputs[depth], stem_config, stem_params))
+
+    def loss(key):
+        stage = _probe_stage(key, depth)
+        x = inputs[stage]
+        for i in range(stage, depth):
+            x = stems.ladder_layer(x, i, stem_config, stem_params)[0]
+        if stage <= depth:
+            x = stems.project_tokens(x, stem_config, stem_params)
+        return float(np.sum(forward_from_tokens(x, config, params)[0] * weight))
+
+    return loss
+
+
 def _gradient_self_test(variant: str) -> float:
+    """Worst relative error of the analytic parameter gradients against
+    central differences, on CHECK_COORDS_PER_TENSOR coordinates of each
+    tensor. Each probe resumes the forward at the first stage its tensor
+    feeds (:func:`_resumable_loss`)."""
     rng = np.random.default_rng(CHECK_PROBE_SEED)
     config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
     params = init_params(CHECK_PROBE_SEED, config)
     images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
     weight = rng.normal(size=(2, config.embed_dim))
 
-    def loss(p):
-        return float(np.sum(encoder_forward(images, config, p) * weight))
-
     features, cache = encoder_forward_cached(images, config, params)
     grads = encoder_backward(weight, cache, params)
+    loss = _resumable_loss(images, weight, config, params)
 
     worst = 0.0
     for key in sorted(params):
@@ -309,7 +359,7 @@ def _gradient_self_test(variant: str) -> float:
 
         def loss_at_picks(values):
             flat[picks] = values
-            return loss(params)
+            return loss(key)
 
         try:
             fd = ops.fd_gradient(loss_at_picks, original)

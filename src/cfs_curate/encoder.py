@@ -166,7 +166,8 @@ def _attention_backward(grad_out, cache, params, prefix, heads):
 
 
 def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
-    """Forward pass keeping every intermediate needed by encoder_backward.
+    """Forward pass keeping every intermediate needed by encoder_backward:
+    :func:`stems.stem_forward_cached`, then :func:`forward_from_tokens`.
 
     Returns ``(features, cache)`` with features of shape (B, D). With
     ``per_sample`` set, the stem's batch norms use per-sample statistics
@@ -184,6 +185,18 @@ def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
     tokens, stem_cache = stems.stem_forward_cached(
         images, config.stem, stem_subparams(params), per_sample
     )
+    features, head_cache = forward_from_tokens(tokens, config, params)
+    return features, (config, stem_cache, *head_cache)
+
+
+def forward_from_tokens(tokens, config: ViTConfig, params):
+    """The encoder after the stem: class token, positional embeddings, the
+    blocks and the final layer-norm on a (B, T, D) token sequence.
+
+    Returns ``(features, cache)``, the cache holding what
+    :func:`encoder_backward` reads of this part. A caller that holds the
+    stem's tokens can resume here and get the bits of a full forward.
+    """
     b = tokens.shape[0]
     cls = np.broadcast_to(params["cls_token"], (b, 1, config.embed_dim))
     x = np.concatenate([cls, tokens], axis=1) + params["pos_embed"]
@@ -211,9 +224,7 @@ def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
     normed, final_cache = ops.normalize_cached(
         x, "layer", params["final_gamma"], params["final_beta"], LAYER_NORM_EPS
     )
-    features = normed[:, 0, :].copy()
-    cache = (config, stem_cache, block_caches, final_cache, normed.shape)
-    return features, cache
+    return normed[:, 0, :].copy(), (block_caches, final_cache, normed.shape)
 
 
 def encoder_backward(grad_features, cache, params) -> GradPair:

@@ -92,16 +92,17 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
     rounding of a CDF boundary.
 
     Each round takes the assignment ``BLOCK_ROWS`` points at a time, so
-    memory is O(N*d + BLOCK_ROWS*k) whatever k is. A point goes to the
-    center of least GEMM-form distance ||x||^2 - 2 x.c + ||c||^2, the
-    lowest center index on an exact tie of that value. The form rounds
-    differently from the direct sum of (x - c)^2, so a point on an exact
-    or near tie of true distances (duplicate centers, lattice data) may
-    go to either of the tied centers; the objective is still computed
-    directly, and is
-    non-increasing up to rounding. A center is the mean of its members,
-    summed in index order; a cluster that loses all members keeps its
-    previous center.
+    memory is O(N*d + BLOCK_ROWS*k) whatever k is, with or without
+    ``history``. A point goes to the center of least GEMM-form distance
+    ||x||^2 - 2 x.c + ||c||^2, the lowest center index on an exact tie of
+    that value. The form rounds differently from the direct sum of
+    (x - c)^2, so a point on an exact or near tie of true distances
+    (duplicate centers, lattice data) may go to either of the tied
+    centers. The objective is still computed directly: each point's
+    summed (x - c)^2 is taken in the same row blocks, then the N of them
+    are summed once; it is non-increasing up to rounding. A center is the
+    mean of its members, summed in index order; a cluster that loses all
+    members keeps its previous center.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -130,6 +131,7 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
     x_sq = (x * x).sum(axis=1)[:, None]
     assign = np.empty(n, dtype=np.intp)
     d2 = np.empty((min(BLOCK_ROWS, n), k))
+    row_d2 = np.empty(n) if history is not None else None
     for _ in range(KMEANS_MAX_ITER):
         c_sq = (centers * centers).sum(axis=1)
         for block in _row_blocks(n):
@@ -138,8 +140,10 @@ def kmeans_fit(features, k: int, seed: int, *, history: list | None = None) -> n
             d2 += x_sq[block]
             d2 += c_sq
             d2.argmin(axis=1, out=assign[block])
-        if history is not None:
-            history.append(float(((x - centers[assign]) ** 2).sum(axis=-1).sum()))
+            if row_d2 is not None:
+                ((x[block] - centers[assign[block]]) ** 2).sum(axis=1, out=row_d2[block])
+        if row_d2 is not None:
+            history.append(float(row_d2.sum()))
         # per-column bincounts add each cluster's members in index order
         sums = np.empty_like(centers)
         for j, column in enumerate(x.T):

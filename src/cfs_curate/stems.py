@@ -195,11 +195,57 @@ class _StemCache:
     config: StemConfig
     layers: list
     proj_in: np.ndarray
-    map_hw: tuple[int, int]
+
+    @property
+    def map_hw(self) -> tuple[int, int]:
+        s = self.config.proj_stride
+        return self.proj_in.shape[2] // s, self.proj_in.shape[3] // s
+
+
+def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
+    """Ladder layer ``i`` on its input ``x``: edge pad, 3x3 stride-2
+    convolution, normalization (instance half and batch half on the first
+    ``config.split_layers`` layers, one batch group after), relu.
+
+    Returns the relu output, which is the next layer's input, and the
+    layer's entry of the backward cache. ``per_sample`` is as in
+    :func:`stem_forward_cached`.
+    """
+    out_c = config.channel_ladder[i]
+    bn_mode = "instance" if per_sample else "batch"
+    kernel = params[f"conv{i}_kernel"]
+    padded = _edge_pad(x, LADDER_PAD)
+    conv_out = ops.conv2d(padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE)
+    gamma = params[f"norm{i}_gamma"]
+    beta = params[f"norm{i}_beta"]
+    if i < config.split_layers:
+        groups = ((slice(None, out_c // 2), "instance"), (slice(out_c // 2, None), bn_mode))
+    else:
+        groups = ((slice(None), bn_mode),)
+    normed = np.empty_like(conv_out)
+    norm_cache = []
+    for channels, mode in groups:
+        normed[:, channels], group_cache = ops.normalize_cached(
+            conv_out[:, channels], mode, gamma[channels], beta[channels], config.eps
+        )
+        norm_cache.append((channels, group_cache))
+    layer = (padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i)
+    return ops.activation(normed, "relu"), layer
+
+
+def project_tokens(x, config: StemConfig, params) -> np.ndarray:
+    """The projection convolution on the ladder's output ``x`` (the images
+    for the empty ladder), as a (B, T, D) token sequence."""
+    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=config.proj_stride)
+    return _tokens_from_map(fmap)
 
 
 def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
     """Run any stem variant, keeping what the backward pass needs.
+
+    The forward is :func:`ladder_layer` for each ladder layer in turn,
+    then :func:`project_tokens`; a caller that holds the input of one of
+    these stages can resume there and get the same bits.
 
     With ``per_sample`` set, every batch-norm layer (and batch-norm half)
     normalizes each sample over (H, W) alone, which is exactly what batch
@@ -218,30 +264,12 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
             f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
             "feature (use larger images, a smaller patch stride or a larger batch)"
         )
-    bn_mode = "instance" if per_sample else "batch"
     layers = []
     x = images
-    for i, out_c in enumerate(config.channel_ladder):
-        kernel = params[f"conv{i}_kernel"]
-        padded = _edge_pad(x, LADDER_PAD)
-        conv_out = ops.conv2d(padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE)
-        gamma = params[f"norm{i}_gamma"]
-        beta = params[f"norm{i}_beta"]
-        if i < config.split_layers:
-            groups = ((slice(None, out_c // 2), "instance"), (slice(out_c // 2, None), bn_mode))
-        else:
-            groups = ((slice(None), bn_mode),)
-        normed = np.empty_like(conv_out)
-        norm_cache = []
-        for channels, mode in groups:
-            normed[:, channels], group_cache = ops.normalize_cached(
-                conv_out[:, channels], mode, gamma[channels], beta[channels], config.eps
-            )
-            norm_cache.append((channels, group_cache))
-        layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
-        x = ops.activation(normed, "relu")
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=config.proj_stride)
-    return _tokens_from_map(fmap), _StemCache(config, layers, x, fmap.shape[2:])
+    for i in range(len(config.channel_ladder)):
+        x, layer = ladder_layer(x, i, config, params, per_sample)
+        layers.append(layer)
+    return project_tokens(x, config, params), _StemCache(config, layers, x)
 
 
 def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPair:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfs_curate import encoder, formats, ops, stems, synth
+from cfs_curate import cli, encoder, formats, ops, pipeline, stems, synth
 from cfs_curate.errors import ConfigError, FormatError, RangeError
 from cfs_curate.invariance import LUMA_WEIGHTS, AugmentationSpec
 from cfs_curate.validation import check_image
@@ -561,3 +561,39 @@ def hh_hdh_empirical(u1, u2, hypothesis_class) -> float:
     gaps = hh_disagreement_rates(hypothesis_class, u1)
     gaps -= hh_disagreement_rates(hypothesis_class, u2)
     return float(np.abs(gaps, out=gaps).max())
+
+
+def full_forward_gradient_self_test(variant: str) -> float:
+    """cli._gradient_self_test as computed before the probes resumed at
+    the perturbed stage: one full encoder_forward per probe. Reference
+    for bitwise equality."""
+    rng = np.random.default_rng(cli.CHECK_PROBE_SEED)
+    config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
+    params = encoder.init_params(cli.CHECK_PROBE_SEED, config)
+    images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
+    weight = rng.normal(size=(2, config.embed_dim))
+
+    def loss(p):
+        return float(np.sum(encoder.encoder_forward(images, config, p) * weight))
+
+    features, cache = encoder.encoder_forward_cached(images, config, params)
+    grads = encoder.encoder_backward(weight, cache, params)
+
+    worst = 0.0
+    for key in sorted(params):
+        flat = params[key].reshape(-1)
+        picks = rng.choice(flat.size, size=min(cli.CHECK_COORDS_PER_TENSOR, flat.size),
+                           replace=False)
+        original = flat[picks].copy()
+
+        def loss_at_picks(values):
+            flat[picks] = values
+            return loss(params)
+
+        try:
+            fd = ops.fd_gradient(loss_at_picks, original)
+        finally:
+            flat[picks] = original
+        analytic = grads.param_grads[key].reshape(-1)[picks]
+        worst = max(worst, ops.max_relative_error(analytic, fd))
+    return worst

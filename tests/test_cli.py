@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 import cfs_curate
-from cfs_curate import cli, divergence, formats, pipeline
+from cfs_curate import cli, divergence, encoder, formats, pipeline, stems
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import RangeError
-from conftest import assert_bitwise_equal, stacked_load_images
+from conftest import (
+    assert_bitwise_equal,
+    full_forward_gradient_self_test,
+    stacked_load_images,
+)
 
 
 def run(*argv):
@@ -433,6 +437,71 @@ class TestPipeline:
         assert 0 < doc["results"]["identity"]["within_threshold"] < 9000
         for value in doc["results"]["gradient_max_relative_error"].values():
             assert value <= 1e-4
+
+
+class TestCheckProbes:
+    """``check`` resumes each finite-difference probe at the first stage
+    its parameter tensor feeds; the numbers are those of full forwards."""
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_resumed_loss_is_the_full_forward_loss(self, variant):
+        """One perturbed coordinate per tensor, the one of largest
+        analytic gradient: the resumed loss has the bits of a full
+        forward, and differs from the unperturbed loss, so a key mapped to
+        a stage after the one it feeds fails here."""
+        rng = np.random.default_rng(11)
+        config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
+                                             patch_stride=8)
+        params = encoder.init_params(11, config)
+        images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
+        weight = rng.normal(size=(2, config.embed_dim))
+
+        def full_loss():
+            return float(np.sum(encoder.encoder_forward(images, config, params) * weight))
+
+        unperturbed = full_loss()
+        _, cache = encoder.encoder_forward_cached(images, config, params)
+        grads = encoder.encoder_backward(weight, cache, params).param_grads
+        loss = cli._resumable_loss(images, weight, config, params)
+        for key in sorted(params):
+            flat = params[key].reshape(-1)
+            pick = np.abs(grads[key]).argmax()
+            original = flat[pick]
+            flat[pick] = original + 0.37
+            try:
+                resumed, full = loss(key), full_loss()
+            finally:
+                flat[pick] = original
+            assert resumed == full, key
+            assert resumed != unperturbed, key
+
+    def test_stage_of_each_key(self):
+        assert cli._probe_stage("stem.conv0_kernel", 3) == 0
+        assert cli._probe_stage("stem.norm2_beta", 3) == 2
+        assert cli._probe_stage("stem.conv12_bias", 13) == 12
+        assert cli._probe_stage("stem.proj_kernel", 3) == 3
+        assert cli._probe_stage("stem.proj_bias", 0) == 0
+        assert cli._probe_stage("cls_token", 3) == 4
+        assert cli._probe_stage("block0.qkv_kernel", 0) == 1
+
+    def test_check_matches_full_forward_oracle(self, tmp_path, monkeypatch):
+        """Every variant's worst gradient error has the oracle's bits, and
+        the whole stem runs once per variant: probes never fall back to
+        full forwards."""
+        variants = []
+        stem_forward_cached = stems.stem_forward_cached
+
+        def counted(images, config, *args, **kwargs):
+            variants.append(config.variant)
+            return stem_forward_cached(images, config, *args, **kwargs)
+
+        monkeypatch.setattr(stems, "stem_forward_cached", counted)
+        out = tmp_path / "check.json"
+        assert run("check", "--out", str(out)) == 0
+        monkeypatch.undo()
+        assert variants == list(stems.VARIANTS)
+        got = formats.read_report(out)["results"]["gradient_max_relative_error"]
+        assert got == {v: full_forward_gradient_self_test(v) for v in stems.VARIANTS}
 
 
 class TestDeterminism:

@@ -33,6 +33,10 @@ AUGMENT_CROP_BUDGET = 174  # bytes per pixel
 # four k x d float64 arrays (centers, new centers, sums, their shift) at
 # d = 32 are 1 KiB per center, the BLOCK_ROWS x k distance block 512 B
 KMEANS_CENTER_BUDGET = 2048  # bytes per added center
+# kmeans_fit's peak without history at N = 20 000, d = 32, k = 64 is
+# 5.78 MB, most of it the N x d seeding buffer; history must add nothing
+# of order N x d to it
+KMEANS_HISTORY_PEAK_BUDGET = 6_000_000  # bytes
 
 
 def bytes_per_record(argv_for, sizes=SIZES) -> float:
@@ -190,3 +194,20 @@ def test_kmeans_bytes_per_center_within_budget(monkeypatch):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= KMEANS_CENTER_BUDGET
+
+
+def test_kmeans_history_adds_no_n_by_d_temporary(monkeypatch):
+    """kmeans_fit with ``history`` at N = 20 000, d = 32, k = 64, three
+    Lloyd rounds. An objective taken over the whole N x d difference peaks
+    at 10.6 MB; the row-blocked one stays at the seeding peak."""
+    monkeypatch.setattr(selection, "KMEANS_MAX_ITER", 3)
+    x = np.random.default_rng(24).normal(size=(20_000, 32))
+    history = []
+    tracemalloc.start()
+    try:
+        selection.kmeans_fit(x, 64, seed=0, history=history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 3
+    assert peak <= KMEANS_HISTORY_PEAK_BUDGET

@@ -8,14 +8,15 @@ stumps the supremum is an exact finite maximum, computed by enumeration;
 it lower-bounds the same quantity over any richer class containing the
 stumps. No factor of 2 is applied.
 
-The class is two columns, stump dims and thresholds, so the H x n
-prediction matrix P is one comparison. Hypotheses i and j disagree on
-s_i + s_j - 2 (P P^T)_ij samples (s = row sums of P): exact integers
-from one GEMM per sample. The counts make the gap matrix exactly
-symmetric, so only its upper triangle is taken, ``BLOCK_ROWS``
-hypothesis rows at a time: peak memory is the two prediction matrices
-plus two BLOCK_ROWS x H rate blocks, O(H (n + BLOCK_ROWS)) float64
-values rather than H x H. Work still grows as H^2 n / 2.
+A stump on dimension a fires exactly when a sample's rank among a's sorted
+thresholds exceeds the stump's own, so each sample is ranked once per
+dimension and every pair of dimensions (a, b) is one 2-D histogram of
+rank pairs. Its 2-D running sums count, for every pair of hypotheses on a
+and b, the samples they disagree on: exact integers, from O(n) binning
+per dimension pair and O(1) work per hypothesis pair. The two constant
+hypotheses are the edge ranks of every dimension. Work grows as
+O(H^2 + d^2 n), memory as O(n d + d T^2) for d dimensions of at most T
+stumps each; no H x n prediction matrix is built.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-
-# hypotheses per gap-matrix block in hdh_empirical
-BLOCK_ROWS = 256
 
 
 @dataclass
@@ -65,6 +63,8 @@ def _as_samples(samples, n_dims=None) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0:
         raise RangeError(f"samples must be a nonempty N x d matrix, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise RangeError("samples must be finite (no NaN or Inf)")
     if n_dims is not None and x.shape[1] != n_dims:
         raise RangeError(f"samples have {x.shape[1]} dims, class expects {n_dims}")
     return x
@@ -93,35 +93,89 @@ def build_stumps(samples, max_thresholds_per_dim=None) -> StumpClass:
     return StumpClass(x.shape[1], dims, np.concatenate([np.zeros(0), *per_dim]))
 
 
-def _disagreement_rates(p: np.ndarray, ones: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rates of hypotheses start..stop-1 against hypotheses start..H-1,
-    from the prediction matrix ``p`` and its row sums ``ones``."""
-    rates = p[start:stop] @ p[start:].T
-    rates *= -2.0
-    rates += ones[start:stop, None]
-    rates += ones[start:]
-    rates /= p.shape[1]
-    return rates
+def _disagreement_tables(ranks, pairs, weights, width: int, dtype) -> np.ndarray:
+    """Weighted disagreement counts of the hypotheses of dimension pairs.
+
+    ``ranks[k, s]`` is one plus the number of thresholds of dimension k
+    below sample s, so 1 <= rank < ``width``. Hypothesis m of dimension k
+    is 1[rank <= m]: m = 0 is constant 0, m >= T_k + 1 constant 1, and
+    m in between 1[x <= t], the complement of the stump at k's m-th
+    smallest threshold t. Complementing both hypotheses of a pair keeps
+    the samples they disagree on, so these hypotheses hold every pair of
+    the class. Entry [l, m, p] of the result, with (a, b) = pairs[:, p],
+    is the sum of ``weights`` over the samples on which hypothesis m of a
+    and hypothesis l of b disagree.
+    """
+    a, b = pairs
+    count = len(a)
+    cells = (ranks[a] * width + ranks[b]) * count + np.arange(count)[:, None]
+    table = np.bincount(cells.ravel(), np.tile(weights, count), minlength=width * width * count)
+    table = table.astype(dtype).reshape(width, width, count)
+    # 2-D running sums, each along the leading (contiguous) axis: entry
+    # [l, m, p] becomes the weight of samples with rank_a <= m, rank_b <= l
+    for m in range(1, width):
+        table[m] += table[m - 1]
+    table = table.transpose(1, 0, 2).copy()
+    for l in range(1, width):
+        table[l] += table[l - 1]
+    fires_a = table[-1:].copy()
+    fires_b = table[:, -1:].copy()
+    table *= -2
+    table += fires_a
+    table += fires_b
+    return table
 
 
 def hdh_empirical(u1, u2, hypothesis_class: StumpClass) -> float:
     """Exact max over ordered hypothesis pairs of the disagreement-rate gap.
 
-    Disagreement counts are integers computed in float64 (exact far below
-    2^53), so the result is bit-reproducible and matches a pure-loop
-    enumeration exactly. Exact counts also make the gap matrix exactly
-    symmetric, so it is taken ``BLOCK_ROWS`` hypothesis rows at a time,
-    from the diagonal rightwards.
+    Each pair's gap is |D1/n1 - D2/n2| for its integer disagreement counts
+    D1, D2 on the two samples. A first pass takes, per dimension pair, the
+    largest exact numerator |D1 n2 - D2 n1| over its hypothesis pairs, from
+    one histogram of both samples weighted n2 and -n1. Rounding can lift a
+    float gap above a larger exact one only within ``slack`` of it in
+    numerator units, so a second pass evaluates the float expression, in
+    the operation order of an H x H enumeration, only on the dimension
+    pairs within ``slack`` of the largest numerator. The result is
+    bit-reproducible and equals a pure-loop enumeration exactly.
     """
-    p1 = hypothesis_class.predict_matrix(u1)
-    p2 = hypothesis_class.predict_matrix(u2)
-    ones1 = p1.sum(axis=1)
-    ones2 = p2.sum(axis=1)
+    x1 = _as_samples(u1, hypothesis_class.n_dims)
+    x2 = _as_samples(u2, hypothesis_class.n_dims)
+    n1, n2 = len(x1), len(x2)
+    dims = np.unique(hypothesis_class.dims)
+    if len(dims) == 0:
+        return 0.0  # only the two constants, which disagree on every sample
+    thresholds = [np.sort(hypothesis_class.thresholds[hypothesis_class.dims == dim])
+                  for dim in dims]
+    width = max(map(len, thresholds)) + 2
+    ranks = np.empty((len(dims), n1 + n2), dtype=np.intp)
+    for row, dim, sorted_thresholds in zip(ranks, dims, thresholds):
+        row[:n1] = np.searchsorted(sorted_thresholds, x1[:, dim])
+        row[n1:] = np.searchsorted(sorted_thresholds, x2[:, dim])
+    ranks += 1
+    # numerators and their running sums stay within 2 n1 n2 in magnitude
+    dtype = np.int32 if 2 * n1 * n2 < 2**31 else np.int64
+    # dimension pairs a <= b, taken d at a time: d tables of width^2 cells
+    pairs = np.stack(np.triu_indices(len(dims)))
+    step = len(dims)
+
+    weights = np.repeat([float(n2), float(-n1)], [n1, n2])
+    largest = np.empty(pairs.shape[1], dtype=dtype)
+    for start in range(0, pairs.shape[1], step):
+        numerators = _disagreement_tables(ranks, pairs[:, start:start + step],
+                                          weights, width, dtype)
+        largest[start:start + step] = np.abs(numerators, out=numerators).max(axis=(0, 1))
+
+    # each float gap is within 2u(1 + u) of its exact value, u = 2^-53, so
+    # a pair more than 4 n1 n2 u below the largest numerator cannot give the
+    # largest float gap; the slack is 0 below n1 n2 = 2^51
+    slack = (4 * n1 * n2) >> 53
+    near = pairs[:, largest >= largest.max() - slack]
     best = 0.0
-    for start in range(0, len(hypothesis_class), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        gaps = _disagreement_rates(p1, ones1, start, stop)
-        gaps -= _disagreement_rates(p2, ones2, start, stop)
+    for start in range(0, near.shape[1], step):
+        block = near[:, start:start + step]
+        gaps = _disagreement_tables(ranks[:, :n1], block, np.ones(n1), width, dtype) / n1
+        gaps -= _disagreement_tables(ranks[:, n1:], block, np.ones(n2), width, dtype) / n2
         best = max(best, float(np.abs(gaps, out=gaps).max()))
     return best
 

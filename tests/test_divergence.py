@@ -72,6 +72,13 @@ class TestBuildStumps:
         with pytest.raises(RangeError):
             divergence.build_stumps(np.zeros((0,)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad):
+        x = np.random.default_rng(13).normal(size=(6, 2))
+        x[4, 1] = bad
+        with pytest.raises(RangeError, match="finite"):
+            divergence.build_stumps(x)
+
     def test_cap_zero_keeps_only_constants(self):
         klass = divergence.build_stumps(np.array([0.0, 1.0]), max_thresholds_per_dim=0)
         assert len(klass) == 2
@@ -131,6 +138,20 @@ class TestHdhEmpirical:
         with pytest.raises(RangeError):
             divergence.hdh_empirical(np.ones(3), np.zeros((0,)), klass)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad):
+        """``x > t`` reads NaN as below every threshold, a rank reads it as
+        above every one: a non-finite sample has no rank, so it is refused."""
+        rng = np.random.default_rng(14)
+        u1 = rng.normal(size=(6, 2))
+        u2 = rng.normal(size=(5, 2))
+        klass = divergence.build_stumps(np.vstack([u1, u2]))
+        for samples in (u1, u2):
+            samples[2, 1] = bad
+            with pytest.raises(RangeError, match="finite"):
+                divergence.hdh_empirical(u1, u2, klass)
+            samples[2, 1] = 0.0
+
     def test_matches_loop_oracle_random(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -140,12 +161,12 @@ class TestHdhEmpirical:
                                             max_thresholds_per_dim=5)
             assert divergence.hdh_empirical(u1, u2, klass) == loop_hdh(u1, u2, klass)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_matches_loop_oracle_hypothesis(self, seed, n1, n2):
+    def test_matches_loop_oracle_hypothesis(self, seed, n1, n2, d):
         rng = np.random.default_rng(seed)
-        u1 = rng.uniform(size=(n1, 1))
-        u2 = rng.uniform(size=(n2, 1))
+        u1 = rng.uniform(size=(n1, d))
+        u2 = rng.uniform(size=(n2, d))
         klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=6)
         assert divergence.hdh_empirical(u1, u2, klass) == loop_hdh(u1, u2, klass)
 
@@ -156,27 +177,32 @@ class TestHdhEmpirical:
         klass = divergence.build_stumps(np.vstack([u1, u2]))
         assert divergence.hdh_empirical(u1, u2, klass) == divergence.hdh_empirical(u2, u1, klass)
 
-    def test_peak_memory_is_two_rate_matrices(self):
-        """About 1000 hypotheses over 32 dims; at most 2.5 H^2 float64
-        values are live at once."""
+    def test_peak_memory_is_one_block_of_tables(self):
+        """About 1000 hypotheses over 32 dims, 31 thresholds each. At most
+        one block of d disagreement tables of width^2 cells is live, at
+        24 B per cell (float64 histogram and gaps, int32 table and its
+        transposed copy), plus 128 KiB for the O(n d) ranks and indices."""
         rng = np.random.default_rng(4)
         u1 = rng.normal(size=(40, 32))
         u2 = rng.normal(size=(40, 32)) + 0.3
         klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=31)
         h = len(klass)
         assert h == 2 + 32 * 31
+        width = 31 + 2
         tracemalloc.start()
         try:
             divergence.hdh_empirical(u1, u2, klass)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * h * h * 8, f"peak {peak / (h * h * 8):.2f} H^2 float64"
+        assert peak <= 24 * 32 * width**2 + 2**17, f"peak {peak / 2**20:.2f} MiB"
 
     def test_peak_memory_at_audit_shape_within_budget(self):
         """2 x 256 samples in 32 dims, 64 thresholds per dim: H = 2050, the
-        audit benchmark's shape. Budget 24 MiB, set before measuring; two
-        whole H x H rate matrices take about 68 MB here."""
+        audit benchmark's shape. Budget 4 MiB, set before measuring: one
+        block of 32 tables of 66^2 cells at 24 B per cell is 3.3 MB, and
+        the ranks and cell indices of 512 samples add about 0.7 MB. The
+        two H x n prediction matrices and rate blocks took about 16 MB."""
         rng = np.random.default_rng(11)
         u1 = rng.normal(size=(256, 32))
         u2 = rng.normal(size=(256, 32)) + 0.2
@@ -188,24 +214,91 @@ class TestHdhEmpirical:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 64, 256])
-    def test_row_blocks_bitwise_equal_to_hh_matrices(self, monkeypatch, block_rows):
-        """Every block size, with H below, at and above it, gives the value
-        of the whole H x H rate matrices (conftest.hh_hdh_empirical)."""
-        monkeypatch.setattr(divergence, "BLOCK_ROWS", block_rows)
-        rng = np.random.default_rng(12)
-        cases = {  # H: (n1, n2, d, cap)
-            17: (30, 20, 3, 5), 20: (9, 1, 2, 62), 64: (50, 50, 2, 31),
-            66: (40, 50, 4, 16), 256: (100, 100, 2, 127), 322: (300, 200, 8, 40),
-        }
-        for h, (n1, n2, d, cap) in cases.items():
-            u1 = rng.normal(size=(n1, d))
-            u2 = rng.normal(size=(n2, d)) * 1.3 + 0.2
-            klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=cap)
-            assert len(klass) == h
+    # id: (n1, n2, d, cap, class layout, H)
+    HH_CASES = {
+        "h17": (30, 20, 3, 5, "built", 17),
+        "h20": (9, 1, 2, 62, "built", 20),
+        "h64": (50, 50, 2, 31, "built", 64),
+        "h66": (40, 50, 4, 16, "built", 66),
+        "h256": (100, 100, 2, 127, "built", 256),
+        "h322": (300, 200, 8, 40, "built", 322),
+        "shuffled": (60, 45, 4, 20, "shuffled", 82),
+        "repeated": (25, 40, 3, 12, "repeated", 50),
+        "dim_without_stumps": (33, 29, 5, 9, "constant_dim", 38),
+        "odd_unequal_n": (37, 91, 3, 23, "built", 71),
+        "thresholds_at_samples": (41, 27, 3, 10, "on_grid", 32),
+        "int64_counts": (65_536, 65_536, 1, 3, "separated", 5),
+    }
+
+    @pytest.mark.parametrize("case", HH_CASES, ids=list(HH_CASES))
+    def test_bitwise_equal_to_hh_matrices(self, case):
+        """Each case equals the value of the whole H x H rate matrices
+        (conftest.hh_hdh_empirical) bit for bit. ``shuffled`` permutes the
+        class order, ``repeated`` adds 12 copies of its own stumps,
+        ``constant_dim`` leaves dimension 1 without stumps, ``on_grid``
+        puts samples and thresholds on one grid, so samples sit exactly on
+        thresholds, and ``separated`` makes the gap 1, whose numerator
+        n1 n2 is above 2^31."""
+        n1, n2, d, cap, layout, h = self.HH_CASES[case]
+        rng = np.random.default_rng(list(self.HH_CASES).index(case) + 12)
+        u1 = rng.normal(size=(n1, d))
+        u2 = rng.normal(size=(n2, d)) * 1.3 + 0.2
+        if layout == "constant_dim":
+            u1[:, 1] = u2[:, 1] = 0.25
+        if layout == "on_grid":
+            u1, u2 = np.round(u1 * 4) / 4, np.round(u2 * 4) / 4
+        if layout == "separated":
+            u2 += 50.0
+        klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=cap)
+        dims, thresholds = klass.dims, klass.thresholds
+        if layout == "on_grid":
+            thresholds = np.floor(thresholds * 4) / 4
+            assert np.isin(thresholds, np.vstack([u1, u2])).any()
+        if layout == "repeated":
+            copies = rng.choice(len(dims), size=12)
+            dims, thresholds = np.r_[dims, dims[copies]], np.r_[thresholds, thresholds[copies]]
+        if layout in ("shuffled", "repeated"):
+            order = rng.permutation(len(dims))
+            dims, thresholds = dims[order], thresholds[order]
+        klass = divergence.StumpClass(d, dims, thresholds)
+        assert len(klass) == h
+        value = divergence.hdh_empirical(u1, u2, klass)
+        assert value == hh_hdh_empirical(u1, u2, klass)
+        if layout == "separated":
+            assert value == 1.0
+
+    def test_bitwise_equal_to_hh_matrices_on_random_classes(self):
+        """200 small classes in shuffled order with unequal n1, n2. Pairs
+        with equal numerators D1 n2 - D2 n1 can round to different float
+        gaps, and in some of these classes the largest float gap lies in
+        another dimension pair than the first largest numerator."""
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            u1 = rng.normal(size=(int(rng.integers(1, 60)), d))
+            u2 = rng.normal(size=(int(rng.integers(1, 60)), d)) * 1.3 + 0.2
+            klass = divergence.build_stumps(np.vstack([u1, u2]),
+                                            max_thresholds_per_dim=int(rng.integers(0, 10)))
+            order = rng.permutation(len(klass.dims))
+            klass = divergence.StumpClass(d, klass.dims[order], klass.thresholds[order])
             assert divergence.hdh_empirical(u1, u2, klass) == hh_hdh_empirical(u1, u2, klass)
+
+    def test_builds_no_prediction_matrix(self, monkeypatch):
+        """hdh_empirical counts disagreements from rank histograms; it must
+        return with ``predict_matrix`` unusable."""
+        rng = np.random.default_rng(15)
+        u1 = rng.normal(size=(20, 3))
+        u2 = rng.normal(size=(30, 3)) + 0.4
+        klass = divergence.build_stumps(np.vstack([u1, u2]), max_thresholds_per_dim=8)
+        expected = hh_hdh_empirical(u1, u2, klass)
+
+        def refuse(self, samples):
+            raise AssertionError("hdh_empirical built an H x n prediction matrix")
+
+        monkeypatch.setattr(divergence.StumpClass, "predict_matrix", refuse)
+        assert divergence.hdh_empirical(u1, u2, klass) == expected
 
     def test_cli_matches_loop_oracle_on_multidimensional_files(self, tmp_path):
         """``hdh`` on random 3-D EMB1 files, one dimension with ties, equals

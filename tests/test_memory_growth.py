@@ -5,10 +5,11 @@ difference of the two peaks over the difference of the sizes is its
 slope. The budgets are the slopes this helper measured at d = 32 before
 the score report was written from columns (score 1258, filter 527
 B/record), plus a margin of 10%. Written from columns, score reads
-about 918 and filter about 508 B/record. The select, hdh, cka, embed,
-synth and augment budgets are their measured slopes plus 10%; each
-test's docstring gives the slope. The k-means budget is per added
-center, set from the arrays a fit holds rather than from a measurement.
+about 918 and filter about 508 B/record. The select, cka, embed, synth
+and augment budgets are their measured slopes plus 10%; each test's
+docstring gives the slope. The hdh budget and the k-means budget (per
+added center) are set from the arrays the command holds rather than from
+a measurement.
 """
 
 import math
@@ -24,7 +25,9 @@ DIM = 32
 SCORE_BUDGET = 1400  # bytes per added record
 FILTER_BUDGET = 580
 SELECT_BUDGET = 127_200  # bytes per --n-per-domain step
-HDH_BUDGET = 9_610  # bytes per record in each file
+# six n x 32 arrays of 8-byte values per file: the two feature matrices,
+# the ranks, and one table's cell index, weights and index temporary
+HDH_BUDGET = 3_072  # bytes per record in each file
 CKA_BUDGET = 207_600  # bytes per image
 SYNTH_BUDGET = 54_100  # bytes per --n-per-domain step
 EMBED_BUDGET = 27_400  # bytes per 32x32 image
@@ -98,9 +101,11 @@ def test_select_bytes_per_step_within_budget(tmp_path):
 
 
 def test_hdh_bytes_per_record_within_budget(tmp_path):
-    """About 8.73 KB per record in each file at --max-thresholds 16 and
-    d = 32 (500 -> 2000 records); the two float64 prediction matrices of
-    the 514 stumps take 8224 B of it."""
+    """Per record in each file at --max-thresholds 16 and d = 32 (500 ->
+    2000 records), hdh holds O(d) values: its features, ranks and one
+    table's cell indices. Its disagreement tables do not grow with n. The
+    two float64 prediction matrices of the 514 stumps took 8224 B of the
+    8.73 KB the H x n form needed."""
     def argv_for(n):
         return ["hdh", *write_pair(tmp_path, n), "--max-thresholds", "16",
                 "--out", str(tmp_path / f"hdh-{n}.json")]

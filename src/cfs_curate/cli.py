@@ -307,14 +307,16 @@ def _probe_stage(key: str, depth: int) -> int:
 
 
 def _resumable_loss(images, weight, config, params):
-    """``loss(key)``: ``sum(features * weight)`` of ``images`` at the
-    current ``params``, recomputed from the stage :func:`_probe_stage`
-    gives for ``key``.
+    """``loss(key, stacked)``: ``sum(features * weight)`` of ``images`` for
+    each copy of ``params[key]`` in ``stacked``, shape ``(P, *params[key].shape)``,
+    every other tensor as ``params`` holds it. One forward per call, from
+    the stage :func:`_probe_stage` gives for ``key``, on that stage's input
+    broadcast to (P, B, ...) without a copy; returns the P losses.
 
     The input of every stage is computed here once, at the values
-    ``params`` hold now. While no tensor but ``params[key]`` has changed
-    since, ``loss(key)`` runs the operations of a full forward on
-    bitwise-equal inputs, so it returns the full forward's bits.
+    ``params`` holds. Row p runs the operations of a full forward with
+    copy p on bitwise-equal inputs (the leading-axis convention of
+    :mod:`ops`), so it has that full forward's bits.
     """
     stem_config, stem_params = config.stem, stem_subparams(params)
     depth = len(stem_config.channel_ladder)
@@ -323,14 +325,16 @@ def _resumable_loss(images, weight, config, params):
         inputs.append(stems.ladder_layer(inputs[i], i, stem_config, stem_params)[0])
     inputs.append(stems.project_tokens(inputs[depth], stem_config, stem_params))
 
-    def loss(key):
+    def loss(key, stacked):
+        probe_params = {**params, key: stacked}
+        stem_probe = stem_subparams(probe_params)
         stage = _probe_stage(key, depth)
-        x = inputs[stage]
+        x = np.broadcast_to(inputs[stage], (len(stacked), *inputs[stage].shape))
         for i in range(stage, depth):
-            x = stems.ladder_layer(x, i, stem_config, stem_params)[0]
+            x = stems.ladder_layer(x, i, stem_config, stem_probe)[0]
         if stage <= depth:
-            x = stems.project_tokens(x, stem_config, stem_params)
-        return float(np.sum(forward_from_tokens(x, config, params)[0] * weight))
+            x = stems.project_tokens(x, stem_config, stem_probe)
+        return np.sum(forward_from_tokens(x, config, probe_params)[0] * weight, axis=(-2, -1))
 
     return loss
 
@@ -338,8 +342,10 @@ def _resumable_loss(images, weight, config, params):
 def _gradient_self_test(variant: str) -> float:
     """Worst relative error of the analytic parameter gradients against
     central differences, on CHECK_COORDS_PER_TENSOR coordinates of each
-    tensor. Each probe resumes the forward at the first stage its tensor
-    feeds (:func:`_resumable_loss`)."""
+    tensor. The 2 * picks perturbed copies of a tensor, each ``original
+    +- FD_STEP`` at one pick, go through one forward (:func:`_resumable_loss`),
+    and the differences are the IEEE operations of :func:`ops.fd_gradient`.
+    ``params`` is never written."""
     rng = np.random.default_rng(CHECK_PROBE_SEED)
     config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
     params = init_params(CHECK_PROBE_SEED, config)
@@ -352,19 +358,16 @@ def _gradient_self_test(variant: str) -> float:
 
     worst = 0.0
     for key in sorted(params):
-        flat = params[key].reshape(-1)
-        picks = rng.choice(flat.size, size=min(CHECK_COORDS_PER_TENSOR, flat.size),
+        tensor = params[key]
+        picks = rng.choice(tensor.size, size=min(CHECK_COORDS_PER_TENSOR, tensor.size),
                            replace=False)
-        original = flat[picks].copy()
-
-        def loss_at_picks(values):
-            flat[picks] = values
-            return loss(key)
-
-        try:
-            fd = ops.fd_gradient(loss_at_picks, original)
-        finally:
-            flat[picks] = original
+        n = len(picks)
+        original = tensor.reshape(-1)[picks]
+        probes = np.repeat(tensor.reshape(1, -1), 2 * n, axis=0)
+        probes[np.arange(n), picks] = original + ops.FD_STEP
+        probes[np.arange(n, 2 * n), picks] = original - ops.FD_STEP
+        losses = loss(key, probes.reshape(2 * n, *tensor.shape))
+        fd = (losses[:n] - losses[n:]) / (2.0 * ops.FD_STEP)
         analytic = grads.param_grads[key].reshape(-1)[picks]
         worst = max(worst, ops.max_relative_error(analytic, fd))
     return worst

@@ -117,21 +117,27 @@ def _linear_backward(grad_out, x, w):
     return dx, dw, db
 
 
+def _linear(x, params, name):
+    """``x @ kernel + bias`` for the linear layer ``name``, either
+    parameter possibly stacked (:func:`ops.per_probe`)."""
+    kernel = ops.per_probe(params[f"{name}_kernel"], 2, x.ndim)
+    return x @ kernel + ops.per_probe(params[f"{name}_bias"], 1, x.ndim)
+
+
 def _attention_forward(y, params, prefix, heads):
-    b, t, d = y.shape
+    *lead, t, d = y.shape
     dh = d // heads
-    w_qkv = params[f"{prefix}.qkv_kernel"]
-    qkv = y @ w_qkv + params[f"{prefix}.qkv_bias"]
+    qkv = _linear(y, params, f"{prefix}.qkv")
 
     def split(z):
-        return np.ascontiguousarray(z.reshape(b, t, heads, dh).transpose(0, 2, 1, 3))
+        return np.ascontiguousarray(z.reshape(*lead, t, heads, dh).swapaxes(-3, -2))
 
     q, k, v = split(qkv[..., :d]), split(qkv[..., d:2 * d]), split(qkv[..., 2 * d:])
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh)
     attn = ops.softmax(scores)
     ctx = attn @ v
-    merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, t, d)
-    out = merged @ params[f"{prefix}.attn_out_kernel"] + params[f"{prefix}.attn_out_bias"]
+    merged = np.ascontiguousarray(ctx.swapaxes(-3, -2)).reshape(*lead, t, d)
+    out = _linear(merged, params, f"{prefix}.attn_out")
     cache = (y, q, k, v, attn, merged)
     return out, cache
 
@@ -196,10 +202,15 @@ def forward_from_tokens(tokens, config: ViTConfig, params):
     Returns ``(features, cache)``, the cache holding what
     :func:`encoder_backward` reads of this part. A caller that holds the
     stem's tokens can resume here and get the bits of a full forward.
+
+    ``tokens`` may carry batch axes before B, and any parameter probe axes
+    to match (:func:`ops.per_probe`): features are then (..., B, D), each
+    leading index bitwise its own (B, T, D) call. :func:`encoder_backward`
+    reads the cache of an unstacked (B, T, D) call only.
     """
-    b = tokens.shape[0]
-    cls = np.broadcast_to(params["cls_token"], (b, 1, config.embed_dim))
-    x = np.concatenate([cls, tokens], axis=1) + params["pos_embed"]
+    *lead, t, d = tokens.shape
+    cls = np.broadcast_to(ops.per_probe(params["cls_token"], 1, tokens.ndim), (*lead, 1, d))
+    x = np.concatenate([cls, tokens], axis=-2) + ops.per_probe(params["pos_embed"], 2, tokens.ndim)
 
     block_caches = []
     for i in range(config.depth):
@@ -214,9 +225,9 @@ def forward_from_tokens(tokens, config: ViTConfig, params):
             x_mid, "layer", params[f"{prefix}.ln2_gamma"], params[f"{prefix}.ln2_beta"],
             LAYER_NORM_EPS,
         )
-        pre_act = z @ params[f"{prefix}.mlp_in_kernel"] + params[f"{prefix}.mlp_in_bias"]
+        pre_act = _linear(z, params, f"{prefix}.mlp_in")
         hidden = ops.activation(pre_act, "gelu")
-        mlp_out = hidden @ params[f"{prefix}.mlp_out_kernel"] + params[f"{prefix}.mlp_out_bias"]
+        mlp_out = _linear(hidden, params, f"{prefix}.mlp_out")
         x_out = x_mid + mlp_out
         block_caches.append((ln1_cache, attn_cache, ln2_cache, z, pre_act, hidden))
         x = x_out
@@ -224,7 +235,7 @@ def forward_from_tokens(tokens, config: ViTConfig, params):
     normed, final_cache = ops.normalize_cached(
         x, "layer", params["final_gamma"], params["final_beta"], LAYER_NORM_EPS
     )
-    return normed[:, 0, :].copy(), (block_caches, final_cache, normed.shape)
+    return normed[..., 0, :].copy(), (block_caches, final_cache, normed.shape)
 
 
 def encoder_backward(grad_features, cache, params) -> GradPair:

@@ -59,7 +59,9 @@ def default_specs() -> list[AugmentationSpec]:
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample of (..., H, W, 3) with half-pixel-centered source
-    coordinates into a new C-order array: rows, then columns, gathered by ``take``."""
+    coordinates into a new C-order array. Each source row that some output
+    row reads is interpolated along the columns once; the output rows then
+    gather their two interpolated rows by ``take`` and blend them."""
     if out_h < 1 or out_w < 1:
         raise RangeError(f"target size {out_h}x{out_w} must be positive")
     h, w = image.shape[-3:-1]
@@ -71,10 +73,11 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    upper = image.take(y0, axis=-3)
-    lower = image.take(y1, axis=-3)
-    top = upper.take(x0, axis=-2) * (1 - wx) + upper.take(x1, axis=-2) * wx
-    bottom = lower.take(x0, axis=-2) * (1 - wx) + lower.take(x1, axis=-2) * wx
+    rows, source = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    read = image.take(rows, axis=-3)
+    across = read.take(x0, axis=-2) * (1 - wx) + read.take(x1, axis=-2) * wx
+    top = across.take(source[:out_h], axis=-3)
+    bottom = across.take(source[out_h:], axis=-3)
     return top * (1 - wy) + bottom * wy
 
 

@@ -11,6 +11,16 @@ unpadded cross-correlation (the stems pad by edge replication themselves,
 see :func:`stems._edge_pad`), softmax runs over the last axis, and
 normalization uses the biased (population) variance of the current batch.
 Caches hold only what the paired backward reads.
+
+Leading axes are batch axes: normalization addresses its axes from the
+end, so a ``(P, B, C, H, W)`` input is P independent batches, and slice
+``p`` of the output is bitwise what the ``(B, C, H, W)`` call on slice
+``p`` gives. A parameter may be stacked the same way, one copy per
+leading index (:func:`per_probe` states the rule); that is how a
+finite-difference check evaluates many perturbed copies of one tensor in
+one forward. :func:`conv2d` stays a 4-D op: it is one GEMM per sample,
+so callers fold leading axes into ``B`` (see :func:`stems.ladder_layer`).
+The backward functions take the unstacked 4-D form only.
 """
 
 from __future__ import annotations
@@ -42,6 +52,23 @@ class GradPair:
 
     input_grad: np.ndarray
     param_grads: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def per_probe(param: np.ndarray, base_ndim: int, ndim: int) -> np.ndarray:
+    """``param`` shaped to broadcast against an operand of ``ndim`` axes.
+
+    The rule for stacked parameters: a parameter whose own shape has
+    ``base_ndim`` axes may carry leading axes ``P``, one copy per leading
+    index, and then meets data of shape ``(*P, B, ...)``. Ones go between
+    ``P`` and the parameter's own axes, so each copy broadcasts over its
+    own batch and nothing else. An unstacked parameter is returned as it
+    is; NumPy's right-aligned broadcasting already applies it to every
+    leading index.
+    """
+    probes = param.shape[:param.ndim - base_ndim]
+    if not probes:
+        return param
+    return param.reshape(probes + (1,) * (ndim - param.ndim) + param.shape[len(probes):])
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +152,29 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray, str
 
 
 def _norm_setup(x: np.ndarray, mode: str, gamma: np.ndarray, beta: np.ndarray):
+    """Reduction axes, parameter axes, the broadcast shape of an unstacked
+    gamma/beta (one axis per axis of x) and the population size. Axes count
+    from the end, so axes before (B, C, H, W), or before the normalized
+    axis in layer mode, are batch axes."""
     if mode not in NORM_MODES:
         raise RangeError(f"unknown normalization mode {mode!r}")
     if mode == "layer":
         if x.ndim < 1:
             raise DimensionError("layer normalization needs at least one axis")
-        axes = (x.ndim - 1,)
+        axes = (-1,)
         param_axes = tuple(range(x.ndim - 1))
+        core = x.shape[-1:]
     else:
-        if x.ndim != 4:
+        if x.ndim < 4:
             raise DimensionError(
                 f"{mode} normalization expects (B, C, H, W), got {x.shape}"
             )
-        axes = (0, 2, 3) if mode == "batch" else (2, 3)
-        param_axes = (0, 2, 3)
-    nparam = x.shape[-1 if mode == "layer" else 1]
-    pshape = tuple(1 if ax in param_axes else nparam for ax in range(x.ndim))
-    if gamma.shape != (nparam,) or beta.shape != (nparam,):
+        axes = (-4, -2, -1) if mode == "batch" else (-2, -1)
+        param_axes = (-4, -2, -1)
+        core = (x.shape[-3], 1, 1)
+    nparam = core[0]
+    pshape = (1,) * (x.ndim - len(core)) + core
+    if gamma.shape[-1:] != (nparam,) or beta.shape[-1:] != (nparam,):
         raise DimensionError(
             f"gamma/beta must have shape ({nparam},), got {gamma.shape} and {beta.shape}"
         )
@@ -162,15 +195,25 @@ def normalize_cached(x, mode, gamma, beta, eps=1e-5):
     biased estimator of the current data; there are no running statistics.
     The cache is ``(xhat, inv_std, gamma reshaped to broadcast, axes,
     param_axes)``: one array of x's size and the per-population scales.
+    The output is written into the buffer of the squares the variance
+    sums, so the call allocates two arrays of x's size.
     """
     axes, param_axes, pshape, count = _norm_setup(x, mode, gamma, beta)
+
+    def affine(param):
+        # pshape, with a stacked parameter's probe axes in place of its
+        # leading ones: the per_probe rule
+        return param.reshape(param.shape[:-1] + pshape[param.ndim - 1:])
+
     mean = x.sum(axis=axes, keepdims=True) / count
     xhat = x - mean
-    var = (xhat * xhat).sum(axis=axes, keepdims=True) / count
+    out = xhat * xhat
+    var = out.sum(axis=axes, keepdims=True) / count
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    gamma = gamma.reshape(pshape)
-    out = gamma * xhat + beta.reshape(pshape)
+    gamma = affine(gamma)
+    np.multiply(gamma, xhat, out=out)
+    out += affine(beta)
     return out, (xhat, inv_std, gamma, axes, param_axes)
 
 

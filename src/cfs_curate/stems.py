@@ -152,19 +152,19 @@ def _check_image_batch(images: np.ndarray, config: StemConfig):
 
 
 def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Replicate the border of (B, C, H, W) ``pad`` times on each side.
+    """Replicate the border of (..., C, H, W) ``pad`` times on each side.
 
     Slice copies into one preallocated array: the interior, then the top
     and bottom rows, then the full-height left and right columns, which
     fill the corners from the rows just copied.
     """
-    b, c, h, w = x.shape
-    out = np.empty((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad:pad + h, pad:pad + w] = x
-    out[:, :, :pad, pad:pad + w] = x[:, :, :1]
-    out[:, :, pad + h:, pad:pad + w] = x[:, :, -1:]
-    out[:, :, :, :pad] = out[:, :, :, pad:pad + 1]
-    out[:, :, :, pad + w:] = out[:, :, :, pad + w - 1:pad + w]
+    *lead, h, w = x.shape
+    out = np.empty((*lead, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[..., pad:pad + h, pad:pad + w] = x
+    out[..., :pad, pad:pad + w] = x[..., :1, :]
+    out[..., pad + h:, pad:pad + w] = x[..., -1:, :]
+    out[..., :pad] = out[..., pad:pad + 1]
+    out[..., pad + w:] = out[..., pad + w - 1:pad + w]
     return out
 
 
@@ -179,10 +179,28 @@ def _edge_pad_backward(grad: np.ndarray, pad: int, h: int, w: int) -> np.ndarray
     return grad[:, :, pad:pad + h, pad:pad + w].copy()
 
 
+def _conv(x, kernel, bias, stride):
+    """:func:`ops.conv2d` on (..., B, C, H, W) through 4-D calls only, so
+    its shape contract (and the benchmark tracer's conv2d span, which reads
+    a 4-D output) holds. conv2d is one GEMM per sample, so an unstacked
+    kernel and bias take the leading axes folded into one batch, and the
+    bits are those of separate calls; a stacked kernel or bias
+    (:func:`ops.per_probe`) takes one call per copy."""
+    *lead, c, h, w = x.shape
+    if kernel.ndim == 4 and bias.ndim == 1:
+        out = ops.conv2d(x.reshape(-1, c, h, w), kernel, bias, stride=stride)
+        return out.reshape(*lead, *out.shape[1:])
+    probes = x.shape[:-4]
+    kernel = np.broadcast_to(kernel, probes + kernel.shape[-4:])
+    bias = np.broadcast_to(bias, probes + bias.shape[-1:])
+    out = [ops.conv2d(x[i], kernel[i], bias[i], stride=stride) for i in np.ndindex(probes)]
+    return np.stack(out).reshape(*probes, *out[0].shape)
+
+
 def _tokens_from_map(fmap: np.ndarray) -> np.ndarray:
-    # (B, D, H', W') -> (B, H'*W', D), spatial positions in row-major order
-    b, d, h, w = fmap.shape
-    return np.ascontiguousarray(fmap.reshape(b, d, h * w).transpose(0, 2, 1))
+    # (..., D, H', W') -> (..., H'*W', D), spatial positions in row-major order
+    *lead, d, h, w = fmap.shape
+    return np.ascontiguousarray(fmap.reshape(*lead, d, h * w).swapaxes(-1, -2))
 
 
 def _map_from_tokens(grad_tokens: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -209,13 +227,17 @@ def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
 
     Returns the relu output, which is the next layer's input, and the
     layer's entry of the backward cache. ``per_sample`` is as in
-    :func:`stem_forward_cached`.
+    :func:`stem_forward_cached`. ``x`` may carry batch axes before
+    (B, C, H, W), and the layer's parameters probe axes to match
+    (:func:`ops.per_probe`); each leading index then gets the bits of its
+    own 4-D call. The convolution folds the leading axes into the batch
+    (:func:`_conv`). :func:`stem_backward` reads 4-D caches only.
     """
     out_c = config.channel_ladder[i]
     bn_mode = "instance" if per_sample else "batch"
     kernel = params[f"conv{i}_kernel"]
     padded = _edge_pad(x, LADDER_PAD)
-    conv_out = ops.conv2d(padded, kernel, params[f"conv{i}_bias"], stride=LADDER_STRIDE)
+    conv_out = _conv(padded, kernel, params[f"conv{i}_bias"], LADDER_STRIDE)
     gamma = params[f"norm{i}_gamma"]
     beta = params[f"norm{i}_beta"]
     if i < config.split_layers:
@@ -225,18 +247,20 @@ def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
     normed = np.empty_like(conv_out)
     norm_cache = []
     for channels, mode in groups:
-        normed[:, channels], group_cache = ops.normalize_cached(
-            conv_out[:, channels], mode, gamma[channels], beta[channels], config.eps
+        normed[..., channels, :, :], group_cache = ops.normalize_cached(
+            conv_out[..., channels, :, :], mode, gamma[..., channels], beta[..., channels],
+            config.eps,
         )
         norm_cache.append((channels, group_cache))
-    layer = (padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i)
+    layer = (padded, x.shape[-2], x.shape[-1], kernel, norm_cache, normed, i)
     return ops.activation(normed, "relu"), layer
 
 
 def project_tokens(x, config: StemConfig, params) -> np.ndarray:
     """The projection convolution on the ladder's output ``x`` (the images
-    for the empty ladder), as a (B, T, D) token sequence."""
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=config.proj_stride)
+    for the empty ladder), as a (B, T, D) token sequence; leading batch
+    axes and stacked parameters as in :func:`ladder_layer`."""
+    fmap = _conv(x, params["proj_kernel"], params["proj_bias"], config.proj_stride)
     return _tokens_from_map(fmap)
 
 

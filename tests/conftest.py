@@ -17,6 +17,23 @@ def assert_bitwise_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_stacked_call_equals_separate_calls(rng, call, x, param):
+    """``call(x, param)`` on three perturbed copies stacked on a new
+    leading axis, with ``x`` broadcast to match, against one unstacked
+    call per copy; with ``param`` None the copies are of ``x``. The
+    stacked call's slice p must be bitwise the call on copy p."""
+    value = x if param is None else param
+    stacked = value + 0.1 * rng.normal(size=(3, *value.shape))
+    if param is None:
+        out = call(stacked, None)
+        expect = [call(one, None) for one in stacked]
+    else:
+        out = call(np.broadcast_to(x, (3, *x.shape)), stacked)
+        expect = [call(x, one) for one in stacked]
+    for p in range(3):
+        assert_bitwise_equal(out[p], expect[p])
+
+
 def relu_margin(stem_cache) -> float:
     """Smallest |pre-relu activation| in a cached stem forward pass.
 
@@ -444,6 +461,28 @@ def fancy_index_resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np
     lower = image[..., y1, :, :]
     top = upper[..., x0, :] * (1 - wx) + upper[..., x1, :] * wx
     bottom = lower[..., x0, :] * (1 - wx) + lower[..., x1, :] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def take_resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """invariance.resize_bilinear as computed before it interpolated each
+    source row once: rows y0 and y1 gathered first, then the columns of
+    both interpolated per output row. Reference for bitwise equality."""
+    if out_h < 1 or out_w < 1:
+        raise RangeError(f"target size {out_h}x{out_w} must be positive")
+    h, w = image.shape[-3:-1]
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    upper = image.take(y0, axis=-3)
+    lower = image.take(y1, axis=-3)
+    top = upper.take(x0, axis=-2) * (1 - wx) + upper.take(x1, axis=-2) * wx
+    bottom = lower.take(x0, axis=-2) * (1 - wx) + lower.take(x1, axis=-2) * wx
     return top * (1 - wy) + bottom * wy
 
 

@@ -440,15 +440,18 @@ class TestPipeline:
 
 
 class TestCheckProbes:
-    """``check`` resumes each finite-difference probe at the first stage
-    its parameter tensor feeds; the numbers are those of full forwards."""
+    """``check`` evaluates the finite-difference probes of each parameter
+    tensor as copies stacked on a leading axis, in one forward resumed at
+    the first stage the tensor feeds; the numbers are those of full
+    forwards."""
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
     def test_resumed_loss_is_the_full_forward_loss(self, variant):
-        """One perturbed coordinate per tensor, the one of largest
-        analytic gradient: the resumed loss has the bits of a full
-        forward, and differs from the unperturbed loss, so a key mapped to
-        a stage after the one it feeds fails here."""
+        """Two stacked copies per tensor: the tensor as it is, and +0.37 at
+        the coordinate of largest analytic gradient. Each row of the
+        resumed loss has the bits of a full forward with its copy, and the
+        rows differ, so a key mapped to a stage after the one it feeds
+        fails here."""
         rng = np.random.default_rng(11)
         config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
                                              patch_stride=8)
@@ -456,24 +459,55 @@ class TestCheckProbes:
         images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
         weight = rng.normal(size=(2, config.embed_dim))
 
-        def full_loss():
-            return float(np.sum(encoder.encoder_forward(images, config, params) * weight))
+        def full_loss(p):
+            return float(np.sum(encoder.encoder_forward(images, config, p) * weight))
 
-        unperturbed = full_loss()
         _, cache = encoder.encoder_forward_cached(images, config, params)
         grads = encoder.encoder_backward(weight, cache, params).param_grads
         loss = cli._resumable_loss(images, weight, config, params)
         for key in sorted(params):
-            flat = params[key].reshape(-1)
-            pick = np.abs(grads[key]).argmax()
-            original = flat[pick]
-            flat[pick] = original + 0.37
-            try:
-                resumed, full = loss(key), full_loss()
-            finally:
-                flat[pick] = original
-            assert resumed == full, key
-            assert resumed != unperturbed, key
+            perturbed = params[key].copy()
+            perturbed.reshape(-1)[np.abs(grads[key]).argmax()] += 0.37
+            rows = loss(key, np.stack([params[key], perturbed]))
+            full = [full_loss({**params, key: value}) for value in (params[key], perturbed)]
+            assert rows.shape == (2,)
+            assert rows.tolist() == full, key
+            assert rows[0] != rows[1], key
+
+    def test_one_forward_per_tensor(self, tmp_path, monkeypatch):
+        """``forward_from_tokens`` runs once per parameter tensor (78 over
+        the three variants) plus once in each variant's cached forward for
+        the analytic gradients: 81 calls, not one per probe."""
+        calls = []
+        forward_from_tokens = encoder.forward_from_tokens
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return forward_from_tokens(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_from_tokens", counted)
+        monkeypatch.setattr(cli, "forward_from_tokens", counted)
+        assert run("check", "--out", str(tmp_path / "check.json")) == 0
+        tensors = sum(len(encoder.init_params(0, pipeline.default_vit_config(
+            v, (8, 8), embed_dim=16, depth=1, patch_stride=8))) for v in stems.VARIANTS)
+        assert tensors == 78
+        assert len(calls) == tensors + len(stems.VARIANTS)
+
+    def test_params_are_never_written(self, monkeypatch):
+        """The probes are new arrays: with every parameter read-only, the
+        gradient self-test still runs and gives the full-forward oracle's
+        bits."""
+        init_params = cli.init_params
+
+        def read_only(*args):
+            params = init_params(*args)
+            for value in params.values():
+                value.setflags(write=False)
+            return params
+
+        monkeypatch.setattr(cli, "init_params", read_only)
+        for variant in stems.VARIANTS:
+            assert cli._gradient_self_test(variant) == full_forward_gradient_self_test(variant)
 
     def test_stage_of_each_key(self):
         assert cli._probe_stage("stem.conv0_kernel", 3) == 0

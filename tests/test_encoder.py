@@ -5,8 +5,9 @@ import pytest
 
 from cfs_curate import encoder, ops, pipeline, stems
 from cfs_curate.errors import ConfigError, DimensionError
-from conftest import (add_at_edge_pad_backward, batch_of_one_loop, einsum_conv2d,
-                      long_form_normalize_backward, long_form_normalize_cached)
+from conftest import (add_at_edge_pad_backward, assert_stacked_call_equals_separate_calls,
+                      batch_of_one_loop, einsum_conv2d, long_form_normalize_backward,
+                      long_form_normalize_cached)
 
 RNG_SEED = 42
 
@@ -379,3 +380,23 @@ class TestLongFormOracle:
         for key, value in new.items():
             assert value.shape == old[key].shape, key
             assert np.abs(value - old[key]).max() <= 1e-14 * largest, key
+
+
+class TestLeadingAxes:
+    """forward_from_tokens on (P, B, T, D) tokens, with one parameter
+    stacked on P (ops.per_probe) or P distinct token sets: features bitwise
+    those of the P separate (B, T, D) calls."""
+
+    @pytest.mark.parametrize("name", ["tokens", *sorted(
+        k for k in encoder.init_params(0, patchify_cfg()) if not k.startswith("stem."))])
+    def test_forward_from_tokens_equals_separate_calls(self, name):
+        cfg = patchify_cfg()
+        rng = np.random.default_rng(RNG_SEED)
+        params = encoder.init_params(5, cfg)
+        tokens = rng.normal(size=(2, cfg.tokens, cfg.embed_dim))
+
+        def call(tokens, value):
+            p = params if name == "tokens" else {**params, name: value}
+            return encoder.forward_from_tokens(tokens, cfg, p)[0]
+
+        assert_stacked_call_equals_separate_calls(rng, call, tokens, params.get(name))

@@ -7,7 +7,7 @@ from cfs_curate import encoder, formats, invariance, pipeline, stems
 from cfs_curate.errors import ConfigError, DegenerateFeatureError, DimensionError, RangeError
 
 from conftest import (assert_bitwise_equal, fancy_index_resize_bilinear, single_image_augment,
-                      single_image_resize_bilinear)
+                      single_image_resize_bilinear, take_resize_bilinear)
 
 
 def sample_images(seed=0, n=6, h=16, w=16):
@@ -152,6 +152,40 @@ class TestTakeGather:
         images = np.random.default_rng(11).uniform(0, 1, size=(*batch, 16, 16, 3))
         spec = invariance.AugmentationSpec(kind, invariance.DEFAULT_MAGNITUDES[kind])
         assert invariance.augment(images, spec).flags.c_contiguous
+
+
+class TestRowsInterpolatedOnce:
+    """resize_bilinear against the two-gather form it replaced
+    (conftest.take_resize_bilinear), which interpolated the columns of
+    rows y0 and y1 once per output row: bitwise-equal values."""
+
+    @pytest.mark.parametrize("in_hw,out_hw", [
+        ((16, 16), (32, 32)), ((32, 32), (16, 16)), ((5, 7), (23, 3)), ((19, 11), (4, 17)),
+        ((1, 1), (6, 4)), ((8, 1), (1, 5)), ((7, 9), (1, 1)), ((1, 6), (9, 1)), ((6, 6), (6, 6)),
+    ])
+    def test_bitwise_equal_to_two_gathers(self, in_hw, out_hw):
+        images = np.random.default_rng(12).uniform(0, 1, size=(3, *in_hw, 3))
+        for image in (images, images[1], images[::-2, :, ::-1]):
+            assert_bitwise_equal(invariance.resize_bilinear(image, *out_hw),
+                                 take_resize_bilinear(image, *out_hw))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bitwise_equal_on_random_scales(self, seed):
+        rng = np.random.default_rng(seed)
+        in_hw = rng.integers(1, 40, size=2)
+        out_hw = rng.integers(1, 40, size=2)
+        images = rng.uniform(0, 1, size=(2, *in_hw, 3))
+        assert_bitwise_equal(invariance.resize_bilinear(images, *out_hw),
+                             take_resize_bilinear(images, *out_hw))
+
+    def test_scale_case_of_audit(self):
+        """The (128, 32, 32) corpus down to 16x16 and back up, as the
+        ``scale`` augmentation runs it at its default magnitude."""
+        images = np.random.default_rng(13).uniform(0, 1, size=(128, 32, 32, 3))
+        down = invariance.resize_bilinear(images, 16, 16)
+        assert_bitwise_equal(down, take_resize_bilinear(images, 16, 16))
+        assert_bitwise_equal(invariance.resize_bilinear(down, 32, 32),
+                             take_resize_bilinear(down, 32, 32))
 
 
 class TestBatchedAugment:

@@ -6,6 +6,8 @@ error. conv2d is additionally checked against a naive direct-summation
 oracle that shares no code with the im2col implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from cfs_curate import ops
 from cfs_curate.errors import DimensionError, RangeError
 
-from conftest import (add_at_conv2d_backward, assert_bitwise_equal, long_form_normalize_backward,
+from conftest import (add_at_conv2d_backward, assert_bitwise_equal,
+                      assert_stacked_call_equals_separate_calls, long_form_normalize_backward,
                       long_form_normalize_cached, sliding_window_im2col)
 
 RNG_SEED = 42
@@ -294,6 +297,74 @@ class TestNormalize:
 
         assert ops.max_relative_error(dg, ops.fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
         assert ops.max_relative_error(db, ops.fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
+
+    def test_peak_is_two_arrays_of_the_input(self):
+        """The output goes into the buffer of the squares the variance
+        sums: besides x-sized xhat and that buffer, only per-channel
+        statistics are allocated. A separate output array would make it
+        three."""
+        x = np.random.default_rng(RNG_SEED).normal(size=(128, 4, 16, 16))
+        gamma, beta = np.ones(4), np.zeros(4)
+        ops.normalize_cached(x, "batch", gamma, beta)
+        tracemalloc.start()
+        try:
+            ops.normalize_cached(x, "batch", gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * x.nbytes
+
+
+class TestLeadingAxes:
+    """A (P, B, ...) normalization with gamma or beta stacked on P
+    (ops.per_probe), or with P distinct inputs, is bitwise the P separate
+    4-D calls. conv2d stays 4-D (stems fold leading axes into its batch),
+    and every 4-D call keeps its error message."""
+
+    @pytest.mark.parametrize("name", ["input", "gamma", "beta"])
+    @pytest.mark.parametrize("mode,shape", [
+        ("batch", (2, 4, 5, 5)), ("instance", (2, 4, 5, 5)), ("layer", (2, 5, 8)),
+    ])
+    def test_normalize_equals_separate_calls(self, name, mode, shape):
+        rng = np.random.default_rng(RNG_SEED)
+        n = shape[-1] if mode == "layer" else shape[1]
+        x = rng.normal(size=shape) * 3 + 1
+        params = {"gamma": rng.normal(size=n), "beta": rng.normal(size=n)}
+
+        def call(x, value):
+            p = params if name == "input" else {**params, name: value}
+            return ops.normalize_cached(x, mode, p["gamma"], p["beta"])[0]
+
+        assert_stacked_call_equals_separate_calls(rng, call, x, params.get(name))
+
+    @pytest.mark.parametrize("x,kernel,bias,message", [
+        ((1, 2, 4), (1, 2, 2, 2), (1,),
+         "conv2d expects 4-D input and kernel, got (1, 2, 4) and (1, 2, 2, 2)"),
+        ((1, 2, 4, 4), (2, 2, 2), (1,),
+         "conv2d expects 4-D input and kernel, got (1, 2, 4, 4) and (2, 2, 2)"),
+        ((3, 1, 2, 4, 4), (1, 2, 2, 2), (1,),
+         "conv2d expects 4-D input and kernel, got (3, 1, 2, 4, 4) and (1, 2, 2, 2)"),
+        ((1, 2, 4, 4), (1, 3, 2, 2), (1,), "kernel expects 3 channels, input has 2"),
+        ((1, 2, 4, 4), (3, 2, 2, 2), (2,), "bias must have shape (3,), got (2,)"),
+        ((1, 2, 4, 4), (3, 2, 2, 2), (), "bias must have shape (3,), got ()"),
+        ((1, 1, 2, 2), (1, 1, 5, 5), (1,), "kernel 5x5 larger than input 2x2"),
+    ])
+    def test_conv2d_messages(self, x, kernel, bias, message):
+        with pytest.raises(DimensionError) as info:
+            ops.conv2d(np.zeros(x), np.zeros(kernel), np.zeros(bias))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode,x,n,message", [
+        ("batch", (2, 3, 4), 3, "batch normalization expects (B, C, H, W), got (2, 3, 4)"),
+        ("instance", (3, 4), 3, "instance normalization expects (B, C, H, W), got (3, 4)"),
+        ("batch", (1, 3, 2, 2), 2, "gamma/beta must have shape (3,), got (2,) and (2,)"),
+        ("instance", (1, 3, 2, 2), 4, "gamma/beta must have shape (3,), got (4,) and (4,)"),
+        ("layer", (2, 5), 4, "gamma/beta must have shape (5,), got (4,) and (4,)"),
+    ])
+    def test_normalize_messages(self, mode, x, n, message):
+        with pytest.raises(DimensionError) as info:
+            ops.normalize_cached(np.zeros(x), mode, np.ones(n), np.zeros(n))
+        assert str(info.value) == message
 
 
 class TestNormalizeLongFormOracle:

@@ -6,7 +6,8 @@ import pytest
 from cfs_curate import ops, stems
 from cfs_curate.errors import ConfigError, DimensionError
 
-from conftest import (add_at_edge_pad_backward, assert_bitwise_equal, kink_safe_images,
+from conftest import (add_at_edge_pad_backward, assert_bitwise_equal,
+                      assert_stacked_call_equals_separate_calls, kink_safe_images,
                       np_pad_edge_pad, sliding_window_im2col)
 
 RNG_SEED = 42
@@ -526,6 +527,69 @@ class TestEdgePadOracle:
         assert sorted(pair.param_grads) == sorted(old_pair.param_grads)
         for key, value in pair.param_grads.items():
             assert_bitwise_equal(value, old_pair.param_grads[key])
+
+
+class TestLeadingAxes:
+    """ladder_layer and project_tokens on a (P, B, C, H, W) input, with one
+    parameter stacked on P (ops.per_probe) or P distinct inputs: bitwise
+    the P separate 4-D calls."""
+
+    @pytest.mark.parametrize("name", ["input", "kernel", "bias"])
+    @pytest.mark.parametrize("kh,stride", [(3, 2), (1, 1), (4, 4)])
+    def test_conv_equals_separate_calls(self, monkeypatch, name, kh, stride):
+        """Through 4-D conv2d calls only: one folded call for an unstacked
+        kernel and bias, one per copy for a stacked one."""
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.normal(size=(2, 3, 8, 8))
+        params = {"kernel": rng.normal(size=(5, 3, kh, kh)), "bias": rng.normal(size=5)}
+        conv2d, shapes = ops.conv2d, []
+
+        def four_d(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return conv2d(x, *args, **kwargs)
+
+        def call(x, value):
+            p = params if name == "input" else {**params, name: value}
+            return stems._conv(x, p["kernel"], p["bias"], stride)
+
+        monkeypatch.setattr(ops, "conv2d", four_d)
+        assert_stacked_call_equals_separate_calls(rng, call, x, params.get(name))
+        stacked, separate = shapes[:-3], shapes[-3:]
+        assert separate == [x.shape] * 3
+        assert stacked == ([(6, 3, 8, 8)] if name == "input" else [x.shape] * 3)
+
+    @pytest.mark.parametrize("name", ["input", "conv_kernel", "conv_bias", "norm_gamma",
+                                      "norm_beta"])
+    @pytest.mark.parametrize("variant,layer,per_sample", [
+        ("conv", 1, False), ("ics", 0, False), ("ics", 0, True),
+    ], ids=["conv-layer1", "ics-split-layer0", "ics-split-layer0-per-sample"])
+    def test_ladder_layer_equals_separate_calls(self, variant, layer, per_sample, name):
+        cfg = small_config(variant, in_layers=1)
+        assert (layer < cfg.split_layers) == (variant == "ics")
+        rng = np.random.default_rng(RNG_SEED)
+        params = stems.init_stem_params(1, cfg)
+        x = rng.uniform(0.05, 0.95, size=(2, (3, 4)[layer], 8 >> layer, 8 >> layer))
+        key = name.replace("_", f"{layer}_")
+
+        def call(x, value):
+            p = params if name == "input" else {**params, key: value}
+            return stems.ladder_layer(x, layer, cfg, p, per_sample)[0]
+
+        assert_stacked_call_equals_separate_calls(rng, call, x, params.get(key))
+
+    @pytest.mark.parametrize("name", ["input", "proj_kernel", "proj_bias"])
+    @pytest.mark.parametrize("variant", ["patchify", "conv"])
+    def test_project_tokens_equals_separate_calls(self, variant, name):
+        cfg = small_config(variant)
+        rng = np.random.default_rng(RNG_SEED)
+        params = stems.init_stem_params(1, cfg)
+        x = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8) if variant == "patchify" else (2, 8, 2, 2))
+
+        def call(x, value):
+            p = params if name == "input" else {**params, name: value}
+            return stems.project_tokens(x, cfg, p)
+
+        assert_stacked_call_equals_separate_calls(rng, call, x, params.get(name))
 
 
 class TestDeterminism:

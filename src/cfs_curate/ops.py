@@ -20,6 +20,8 @@ leading index (:func:`per_probe` states the rule); that is how a
 finite-difference check evaluates many perturbed copies of one tensor in
 one forward. :func:`conv2d` stays a 4-D op: it is one GEMM per sample,
 so callers fold leading axes into ``B`` (see :func:`stems.ladder_layer`).
+It has no bias: a caller that needs one adds it to the output, as
+:func:`encoder._linear` adds its bias (see :func:`stems.project_tokens`).
 The backward functions take the unstacked 4-D form only.
 """
 
@@ -93,8 +95,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return windows.reshape(b, c * kh * kw, h_out * w_out)
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Unpadded 2-D cross-correlation of ``(B, C, H, W)`` with ``(O, C, kh, kw)``.
+def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Unpadded 2-D cross-correlation of ``(B, C, H, W)`` with ``(O, C, kh, kw)``,
+    without a bias.
 
     Output spatial size is ``(H - kh) // stride + 1`` (same for width);
     trailing rows/columns that do not fit a window are dropped. Callers
@@ -110,20 +113,17 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1)
     o, kc, kh, kw = kernel.shape
     if kc != c:
         raise DimensionError(f"kernel expects {kc} channels, input has {c}")
-    if bias.shape != (o,):
-        raise DimensionError(f"bias must have shape ({o},), got {bias.shape}")
     if stride < 1:
         raise RangeError("stride must be >= 1")
     if h < kh or w < kw:
         raise DimensionError(f"kernel {kh}x{kw} larger than input {h}x{w}")
     cols = _im2col(x, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
-    out = np.matmul(kmat, cols) + bias[None, :, None]
-    return out.reshape(b, o, (h - kh) // stride + 1, (w - kw) // stride + 1)
+    return np.matmul(kmat, cols).reshape(b, o, (h - kh) // stride + 1, (w - kw) // stride + 1)
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray, stride: int = 1):
-    """Gradients of conv2d w.r.t. input, kernel, and bias."""
+    """Gradients of conv2d w.r.t. input and kernel."""
     b, c = x.shape[:2]
     o, _, kh, kw = kernel.shape
     h_out, w_out = grad_out.shape[2], grad_out.shape[3]
@@ -131,7 +131,6 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray, str
     kmat = kernel.reshape(o, c * kh * kw)
     gmat = grad_out.reshape(b, o, h_out * w_out)
 
-    dbias = grad_out.sum(axis=(0, 2, 3))
     dkernel = np.einsum("bol,bkl->ok", gmat, cols, optimize=True).reshape(kernel.shape)
     dcols = np.einsum("ok,bol->bkl", kmat, gmat, optimize=True)
 
@@ -144,7 +143,7 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray, str
             dx[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += (
                 dcols[:, :, ki, kj]
             )
-    return dx, dkernel, dbias
+    return dx, dkernel
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 All three map an image batch ``(B, 3, H, W)`` to a token sequence
 ``(B, T, D)`` with ``T = (H/p) * (W/p)`` for patch stride ``p``, through
 one code path: a ladder of 3x3 stride-2 convolutions, then a projection
-convolution to D channels (``proj_kernel``/``proj_bias``) whose kernel
-size and stride are ``p / 2**len(ladder)``. The variants differ only in
-that data:
+convolution to D channels (``proj_kernel``) whose kernel size and stride
+are ``p / 2**len(ladder)``, plus ``proj_bias`` added to the tokens. The
+variants differ only in that data:
 
 * ``patchify``: the empty ladder, so the projection is a single stride-p,
   p x p convolution.
@@ -13,7 +13,10 @@ that data:
   normalization and relu, then a 1x1 projection. Ladder convolutions use
   edge-replicate padding, not zero padding, so a constant shift of the
   input produces an exactly constant shift of every convolution output;
-  zero padding would break that at image borders.
+  zero padding would break that at image borders. Ladder convolutions
+  carry no bias: the normalization after each one subtracts a mean over
+  the same channel, which would cancel it (Ioffe & Szegedy, arXiv
+  1502.03167, section 3.2).
 * ``ics``: the same ladder, except that after each of the first
   ``in_layers`` convolutions the lower half of the channels is instance
   normalized and the upper half batch normalized (each half with its own
@@ -117,9 +120,10 @@ class StemConfig:
 
 
 def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
-    """Seeded parameters: kernels uniform in +-1/sqrt(fan-in), biases zero,
-    affine scales one, affine shifts zero. Draw order follows the layer
-    order, so a given (seed, config) always yields the same arrays.
+    """Seeded parameters: kernels uniform in +-1/sqrt(fan-in), the
+    projection bias zero, affine scales one, affine shifts zero; ladder
+    convolutions have no bias. Draw order follows the layer order, so a
+    given (seed, config) always yields the same arrays.
     ``seed`` may also be a Generator, which is drawn from in place.
     """
     rng = np.random.default_rng(seed)
@@ -132,7 +136,6 @@ def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
     in_c = 3
     for i, out_c in enumerate(config.channel_ladder):
         params[f"conv{i}_kernel"] = kernel(out_c, in_c, LADDER_KERNEL, LADDER_KERNEL)
-        params[f"conv{i}_bias"] = np.zeros(out_c)
         params[f"norm{i}_gamma"] = np.ones(out_c)
         params[f"norm{i}_beta"] = np.zeros(out_c)
         in_c = out_c
@@ -179,21 +182,20 @@ def _edge_pad_backward(grad: np.ndarray, pad: int, h: int, w: int) -> np.ndarray
     return grad[:, :, pad:pad + h, pad:pad + w].copy()
 
 
-def _conv(x, kernel, bias, stride):
+def _conv(x, kernel, stride):
     """:func:`ops.conv2d` on (..., B, C, H, W) through 4-D calls only, so
     its shape contract (and the benchmark tracer's conv2d span, which reads
     a 4-D output) holds. conv2d is one GEMM per sample, so an unstacked
-    kernel and bias take the leading axes folded into one batch, and the
-    bits are those of separate calls; a stacked kernel or bias
-    (:func:`ops.per_probe`) takes one call per copy."""
+    kernel takes the leading axes folded into one batch, and the bits are
+    those of separate calls; a stacked kernel (:func:`ops.per_probe`)
+    takes one call per copy."""
     *lead, c, h, w = x.shape
-    if kernel.ndim == 4 and bias.ndim == 1:
-        out = ops.conv2d(x.reshape(-1, c, h, w), kernel, bias, stride=stride)
+    if kernel.ndim == 4:
+        out = ops.conv2d(x.reshape(-1, c, h, w), kernel, stride=stride)
         return out.reshape(*lead, *out.shape[1:])
     probes = x.shape[:-4]
     kernel = np.broadcast_to(kernel, probes + kernel.shape[-4:])
-    bias = np.broadcast_to(bias, probes + bias.shape[-1:])
-    out = [ops.conv2d(x[i], kernel[i], bias[i], stride=stride) for i in np.ndindex(probes)]
+    out = [ops.conv2d(x[i], kernel[i], stride=stride) for i in np.ndindex(probes)]
     return np.stack(out).reshape(*probes, *out[0].shape)
 
 
@@ -237,7 +239,7 @@ def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
     bn_mode = "instance" if per_sample else "batch"
     kernel = params[f"conv{i}_kernel"]
     padded = _edge_pad(x, LADDER_PAD)
-    conv_out = _conv(padded, kernel, params[f"conv{i}_bias"], LADDER_STRIDE)
+    conv_out = _conv(padded, kernel, LADDER_STRIDE)
     gamma = params[f"norm{i}_gamma"]
     beta = params[f"norm{i}_beta"]
     if i < config.split_layers:
@@ -258,10 +260,12 @@ def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
 
 def project_tokens(x, config: StemConfig, params) -> np.ndarray:
     """The projection convolution on the ladder's output ``x`` (the images
-    for the empty ladder), as a (B, T, D) token sequence; leading batch
-    axes and stacked parameters as in :func:`ladder_layer`."""
-    fmap = _conv(x, params["proj_kernel"], params["proj_bias"], config.proj_stride)
-    return _tokens_from_map(fmap)
+    for the empty ladder), as a (B, T, D) token sequence, plus
+    ``proj_bias`` added to the tokens as :func:`encoder._linear` adds its
+    bias; leading batch axes and stacked parameters as in
+    :func:`ladder_layer`."""
+    tokens = _tokens_from_map(_conv(x, params["proj_kernel"], config.proj_stride))
+    return tokens + ops.per_probe(params["proj_bias"], 1, tokens.ndim)
 
 
 def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
@@ -297,12 +301,15 @@ def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
 
 
 def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPair:
-    """Map a token-sequence gradient back to image and parameter gradients."""
+    """Map a token-sequence gradient back to image and parameter gradients.
+    ``proj_bias``'s gradient is the gradient map summed over (B, H', W');
+    the tokens summed over (B, T) hold the same terms but can round
+    differently."""
     grad_map = _map_from_tokens(grad_tokens, *cache.map_hw)
-    grad, dk, db = ops.conv2d_backward(
+    grad, dk = ops.conv2d_backward(
         grad_map, cache.proj_in, params["proj_kernel"], stride=cache.config.proj_stride
     )
-    grads = {"proj_kernel": dk, "proj_bias": db}
+    grads = {"proj_kernel": dk, "proj_bias": grad_map.sum(axis=(0, 2, 3))}
     for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
         grad = ops.activation_backward(grad, normed, "relu")
         dgamma = grads[f"norm{i}_gamma"] = np.empty(normed.shape[1])
@@ -310,9 +317,8 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
         for channels, group_cache in norm_cache:
             grad[:, channels], dgamma[channels], dbeta[channels] = ops.normalize_backward(
                 grad[:, channels], group_cache)
-        grad, dk, db = ops.conv2d_backward(grad, padded, kernel, stride=LADDER_STRIDE)
-        grads[f"conv{i}_kernel"] = dk
-        grads[f"conv{i}_bias"] = db
+        grad, grads[f"conv{i}_kernel"] = ops.conv2d_backward(
+            grad, padded, kernel, stride=LADDER_STRIDE)
         grad = _edge_pad_backward(grad, LADDER_PAD, in_h, in_w)
     return GradPair(input_grad=grad, param_grads=grads)
 

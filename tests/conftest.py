@@ -55,7 +55,7 @@ def kink_safe_images(rng, stem_config, stem_params, shape, band=1e-3, max_tries=
     raise AssertionError(f"no kink-safe batch found in {max_tries} tries")
 
 
-def einsum_conv2d(x, kernel, bias, stride=1):
+def einsum_conv2d(x, kernel, stride=1):
     """ops.conv2d as computed before it became one GEMM per sample: a single
     batched einsum, whose rows can differ from single-sample results by a
     few ulps at large K. Reference for the pre-batching encoder."""
@@ -64,7 +64,7 @@ def einsum_conv2d(x, kernel, bias, stride=1):
     out = np.einsum("ok,bkl->bol", kernel.reshape(o, c * kh * kw), cols, optimize=True)
     h_out = (x.shape[2] - kh) // stride + 1
     w_out = (x.shape[3] - kw) // stride + 1
-    return (out + bias[None, :, None]).reshape(x.shape[0], o, h_out, w_out)
+    return out.reshape(x.shape[0], o, h_out, w_out)
 
 
 def batch_of_one_loop(images, config, params):
@@ -83,7 +83,6 @@ def add_at_conv2d_backward(grad_out, x, kernel, stride=1):
     cols = ops._im2col(x, kh, kw, stride)
     kmat = kernel.reshape(o, c * kh * kw)
     gmat = grad_out.reshape(b, o, h_out * w_out)
-    dbias = grad_out.sum(axis=(0, 2, 3))
     dkernel = np.einsum("bol,bkl->ok", gmat, cols, optimize=True).reshape(kernel.shape)
     dcols = np.einsum("ok,bol->bkl", kmat, gmat, optimize=True)
     chan = np.repeat(np.arange(c), kh * kw)[:, None]
@@ -95,7 +94,7 @@ def add_at_conv2d_backward(grad_out, x, kernel, stride=1):
     colidx = kj[:, None] + oj[None, :]
     dx = np.zeros_like(x)
     np.add.at(dx, (slice(None), chan, rows, colidx), dcols)
-    return dx, dkernel, dbias
+    return dx, dkernel
 
 
 def add_at_edge_pad_backward(grad_padded: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
@@ -268,10 +267,30 @@ def loop_ppm_tokens(data: bytes, path):
     return tokens, pos + 1
 
 
+def old_form_conv2d(x, kernel, bias, stride):
+    """ops.conv2d as computed when it took a bias: the bias added to the
+    GEMM output in (B, O, H'*W') layout, before the tokens are formed.
+    Reference for the projection, whose bias stems.project_tokens adds
+    to the tokens."""
+    o, c, kh, kw = kernel.shape
+    cols = ops._im2col(x, kh, kw, stride)
+    out = np.matmul(kernel.reshape(o, c * kh * kw), cols) + bias[None, :, None]
+    h_out = (x.shape[2] - kh) // stride + 1
+    w_out = (x.shape[3] - kw) // stride + 1
+    return out.reshape(x.shape[0], o, h_out, w_out)
+
+
+def old_form_project_tokens(x, config, params):
+    """stems.project_tokens on a (B, C, H, W) input as computed when the
+    convolution added ``proj_bias``. Reference for bitwise equality."""
+    fmap = old_form_conv2d(x, params["proj_kernel"], params["proj_bias"], config.proj_stride)
+    return stems._tokens_from_map(fmap)
+
+
 def branched_init_stem_params(seed, config):
     """stems.init_stem_params as computed before patchify became the empty
-    ladder: its own branch with ``patch_kernel``/``patch_bias``. Reference
-    for bitwise equality."""
+    ladder: its own branch with ``patch_kernel``/``patch_bias``, without
+    the ladder convolution biases. Reference for bitwise equality."""
     rng = np.random.default_rng(seed)
 
     def kernel(out_c, in_c, kh, kw):
@@ -289,7 +308,6 @@ def branched_init_stem_params(seed, config):
     in_c = 3
     for i, out_c in enumerate(config.channel_ladder):
         params[f"conv{i}_kernel"] = kernel(out_c, in_c, stems.LADDER_KERNEL, stems.LADDER_KERNEL)
-        params[f"conv{i}_bias"] = np.zeros(out_c)
         params[f"norm{i}_gamma"] = np.ones(out_c)
         params[f"norm{i}_beta"] = np.zeros(out_c)
         in_c = out_c
@@ -309,14 +327,14 @@ class BranchedStemCache:
 
 def branched_stem_forward_cached(images, config, params, per_sample=False):
     """stems.stem_forward_cached as computed before the one code path: a
-    patchify branch and a "split"/"full" branch per ladder layer. Takes
-    patchify parameters as ``patch_*``. Reference for bitwise equality."""
+    patchify branch and a "split"/"full" branch per ladder layer, each
+    projection bias added by :func:`old_form_conv2d`. Takes patchify
+    parameters as ``patch_*``. Reference for bitwise equality."""
     stems._check_image_batch(images, config)
     cache = BranchedStemCache(config=config, images=images)
     if config.variant == "patchify":
-        fmap = ops.conv2d(
-            images, params["patch_kernel"], params["patch_bias"],
-            stride=config.patch_stride,
+        fmap = old_form_conv2d(
+            images, params["patch_kernel"], params["patch_bias"], config.patch_stride
         )
         cache.map_hw = fmap.shape[2:]
         return stems._tokens_from_map(fmap), cache
@@ -335,9 +353,7 @@ def branched_stem_forward_cached(images, config, params, per_sample=False):
     for i, out_c in enumerate(config.channel_ladder):
         kernel = params[f"conv{i}_kernel"]
         padded = stems._edge_pad(x, stems.LADDER_PAD)
-        conv_out = ops.conv2d(
-            padded, kernel, params[f"conv{i}_bias"], stride=stems.LADDER_STRIDE
-        )
+        conv_out = ops.conv2d(padded, kernel, stride=stems.LADDER_STRIDE)
         gamma = params[f"norm{i}_gamma"]
         beta = params[f"norm{i}_beta"]
         if i < split:
@@ -359,29 +375,31 @@ def branched_stem_forward_cached(images, config, params, per_sample=False):
         cache.layers.append((padded, x.shape[2], x.shape[3], kernel, norm_cache, normed, i))
         x = act
     cache.proj_in = x
-    fmap = ops.conv2d(x, params["proj_kernel"], params["proj_bias"], stride=1)
+    fmap = old_form_conv2d(x, params["proj_kernel"], params["proj_bias"], 1)
     cache.map_hw = fmap.shape[2:]
     return stems._tokens_from_map(fmap), cache
 
 
 def branched_stem_backward(grad_tokens, cache, params):
     """stems.stem_backward as computed before the one code path, on a
-    branched_stem_forward_cached cache. Reference for bitwise equality."""
+    branched_stem_forward_cached cache; each projection bias gradient is
+    the gradient map summed over (B, H', W'), as ops.conv2d_backward
+    summed it when it returned one. Reference for bitwise equality."""
     config = cache.config
     grad_map = stems._map_from_tokens(grad_tokens, *cache.map_hw)
     grads = {}
     if config.variant == "patchify":
-        dx, dk, db = ops.conv2d_backward(
+        dx, dk = ops.conv2d_backward(
             grad_map, cache.images, params["patch_kernel"],
             stride=config.patch_stride,
         )
         grads["patch_kernel"] = dk
-        grads["patch_bias"] = db
+        grads["patch_bias"] = grad_map.sum(axis=(0, 2, 3))
         return GradPair(input_grad=dx, param_grads=grads)
 
-    dx, dk, db = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1)
+    dx, dk = ops.conv2d_backward(grad_map, cache.proj_in, params["proj_kernel"], 1)
     grads["proj_kernel"] = dk
-    grads["proj_bias"] = db
+    grads["proj_bias"] = grad_map.sum(axis=(0, 2, 3))
     grad = dx
     for padded, in_h, in_w, kernel, norm_cache, normed, i in reversed(cache.layers):
         grad = ops.activation_backward(grad, normed, "relu")
@@ -396,11 +414,10 @@ def branched_stem_backward(grad_tokens, cache, params):
             grad, dg, dbeta = ops.normalize_backward(grad, cache_a)
             grads[f"norm{i}_gamma"] = dg
             grads[f"norm{i}_beta"] = dbeta
-        grad, dk, db = ops.conv2d_backward(
+        grad, dk = ops.conv2d_backward(
             grad, padded, kernel, stride=stems.LADDER_STRIDE
         )
         grads[f"conv{i}_kernel"] = dk
-        grads[f"conv{i}_bias"] = db
         grad = stems._edge_pad_backward(grad, stems.LADDER_PAD, in_h, in_w)
     return GradPair(input_grad=grad, param_grads=grads)
 

@@ -1,7 +1,9 @@
 """Command-line interface: pipelines, determinism, exit codes."""
 
+import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -475,9 +477,9 @@ class TestCheckProbes:
             assert rows[0] != rows[1], key
 
     def test_one_forward_per_tensor(self, tmp_path, monkeypatch):
-        """``forward_from_tokens`` runs once per parameter tensor (78 over
+        """``forward_from_tokens`` runs once per parameter tensor (72 over
         the three variants) plus once in each variant's cached forward for
-        the analytic gradients: 81 calls, not one per probe."""
+        the analytic gradients: 75 calls, not one per probe."""
         calls = []
         forward_from_tokens = encoder.forward_from_tokens
 
@@ -490,8 +492,63 @@ class TestCheckProbes:
         assert run("check", "--out", str(tmp_path / "check.json")) == 0
         tensors = sum(len(encoder.init_params(0, pipeline.default_vit_config(
             v, (8, 8), embed_dim=16, depth=1, patch_stride=8))) for v in stems.VARIANTS)
-        assert tensors == 78
+        assert tensors == 72
         assert len(calls) == tensors + len(stems.VARIANTS)
+
+    def test_probed_tensors_per_variant(self, tmp_path, monkeypatch):
+        """``check`` probes each parameter tensor once: 18 for patchify and
+        27 for conv and ics, whose ladder convolutions have no bias to
+        probe."""
+        probed = {}
+        resumable_loss = cli._resumable_loss
+
+        def recording(images, weight, config, params):
+            loss = resumable_loss(images, weight, config, params)
+            keys = probed.setdefault(config.stem.variant, [])
+
+            def recorded(key, stacked):
+                keys.append(key)
+                return loss(key, stacked)
+
+            return recorded
+
+        monkeypatch.setattr(cli, "_resumable_loss", recording)
+        assert run("check", "--out", str(tmp_path / "check.json")) == 0
+        assert {v: len(keys) for v, keys in probed.items()} == {
+            "patchify": 18, "conv": 27, "ics": 27}
+        for keys in probed.values():
+            assert keys == sorted(set(keys))
+            assert not [k for k in keys if re.fullmatch(r"stem\.conv\d+_bias", k)]
+
+    # SHA-256 prefixes over each key and its bytes in sorted key order,
+    # computed when init_stem_params still made ladder convolution biases
+    # (those keys left out); the biases were zeros and drew no random numbers
+    PARAMETER_DIGESTS = {
+        ("check", "patchify"): "23787dbc61d2c564",
+        ("check", "conv"): "0cdd3ffefc47b638",
+        ("check", "ics"): "0cdd3ffefc47b638",
+        ("embed", "patchify"): "f35d8c52ab84ef2c",
+        ("embed", "conv"): "3dab9387d8989e6f",
+        ("embed", "ics"): "3dab9387d8989e6f",
+    }
+
+    @pytest.mark.parametrize("command,variant", sorted(PARAMETER_DIGESTS))
+    def test_parameters_keep_their_bits(self, command, variant):
+        """``check``'s parameters (seed 5, 8x8 images) and ``embed``'s
+        default ones (seed 0, 32x32) hold no ladder bias, and every other
+        array has the bits it had when the ladder had biases."""
+        if command == "check":
+            config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
+                                                 patch_stride=8)
+            params = encoder.init_params(cli.CHECK_PROBE_SEED, config)
+        else:
+            params = encoder.init_params(0, pipeline.default_vit_config(variant, (32, 32)))
+        assert not [k for k in params if re.fullmatch(r"stem\.conv\d+_bias", k)]
+        digest = hashlib.sha256()
+        for key in sorted(params):
+            digest.update(key.encode())
+            digest.update(params[key].tobytes())
+        assert digest.hexdigest()[:16] == self.PARAMETER_DIGESTS[command, variant]
 
     def test_params_are_never_written(self, monkeypatch):
         """The probes are new arrays: with every parameter read-only, the
@@ -512,7 +569,7 @@ class TestCheckProbes:
     def test_stage_of_each_key(self):
         assert cli._probe_stage("stem.conv0_kernel", 3) == 0
         assert cli._probe_stage("stem.norm2_beta", 3) == 2
-        assert cli._probe_stage("stem.conv12_bias", 13) == 12
+        assert cli._probe_stage("stem.conv12_kernel", 13) == 12
         assert cli._probe_stage("stem.proj_kernel", 3) == 3
         assert cli._probe_stage("stem.proj_bias", 0) == 0
         assert cli._probe_stage("cls_token", 3) == 4

@@ -28,7 +28,7 @@ def zero_pad(x, pad):
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
 
 
-def naive_conv2d(x, kernel, bias, stride, pad):
+def naive_conv2d(x, kernel, stride, pad):
     """Direct four-loop convolution used as an independent oracle."""
     b, c, h, w = x.shape
     o, _, kh, kw = kernel.shape
@@ -41,14 +41,14 @@ def naive_conv2d(x, kernel, bias, stride, pad):
             for i in range(oh):
                 for j in range(ow):
                     patch = xp[bi, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[bi, oi, i, j] = np.sum(patch * kernel[oi]) + bias[oi]
+                    out[bi, oi, i, j] = np.sum(patch * kernel[oi])
     return out
 
 
 class TestConv2d:
     def test_ones_example(self):
         """4x4 ones through a 2x2 ones kernel at stride 2 gives all 4s."""
-        out = ops.conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)), np.zeros(1), stride=2)
+        out = ops.conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)), stride=2)
         np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 4.0))
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (3, 2), (2, 0)])
@@ -56,9 +56,8 @@ class TestConv2d:
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(2, 3, 9, 7))
         k = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        got = ops.conv2d(zero_pad(x, pad), k, b, stride=stride)
-        np.testing.assert_allclose(got, naive_conv2d(x, k, b, stride, pad), atol=1e-12)
+        got = ops.conv2d(zero_pad(x, pad), k, stride=stride)
+        np.testing.assert_allclose(got, naive_conv2d(x, k, stride, pad), atol=1e-12)
 
     def test_rows_independent_of_batch_at_large_k(self):
         """Each output row is bitwise what the sample alone gives, even at
@@ -67,18 +66,17 @@ class TestConv2d:
         rng = np.random.default_rng(RNG_SEED)
         x = rng.uniform(size=(7, 3, 32, 32))
         k = rng.uniform(-0.04, 0.04, size=(32, 3, 16, 16))
-        b = rng.normal(size=32)
-        full = ops.conv2d(x, k, b, stride=16)
+        full = ops.conv2d(x, k, stride=16)
         for i in range(x.shape[0]):
-            np.testing.assert_array_equal(full[i], ops.conv2d(x[i:i + 1], k, b, stride=16)[0])
+            np.testing.assert_array_equal(full[i], ops.conv2d(x[i:i + 1], k, stride=16)[0])
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError):
-            ops.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1))
+            ops.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ops.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
+            ops.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)))
 
     def test_gradients_match_fd(self):
         """Through a zero pad of 1, so the border taps are differentiated too;
@@ -86,28 +84,23 @@ class TestConv2d:
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(2, 2, 6, 5))
         k = rng.normal(size=(3, 2, 3, 3))
-        bias = rng.normal(size=3)
         xp = zero_pad(x, 1)
-        w = rng.normal(size=ops.conv2d(xp, k, bias, stride=2).shape)
+        w = rng.normal(size=ops.conv2d(xp, k, stride=2).shape)
 
         def loss_x(m):
-            return float(np.sum(ops.conv2d(zero_pad(m, 1), k, bias, stride=2) * w))
+            return float(np.sum(ops.conv2d(zero_pad(m, 1), k, stride=2) * w))
 
         def loss_k(m):
-            return float(np.sum(ops.conv2d(xp, m, bias, stride=2) * w))
+            return float(np.sum(ops.conv2d(xp, m, stride=2) * w))
 
-        def loss_b(m):
-            return float(np.sum(ops.conv2d(xp, k, m, stride=2) * w))
-
-        dxp, dk, db = ops.conv2d_backward(w, xp, k, stride=2)
+        dxp, dk = ops.conv2d_backward(w, xp, k, stride=2)
         dx = dxp[:, :, 1:-1, 1:-1]
         assert ops.max_relative_error(dx, ops.fd_gradient(loss_x, x)) < 1e-5
         assert ops.max_relative_error(dk, ops.fd_gradient(loss_k, k)) < 1e-5
-        assert ops.max_relative_error(db, ops.fd_gradient(loss_b, bias)) < 1e-5
 
     def test_backward_bitwise_equal_to_add_at_scatter(self):
         """The slice-add input gradient adds each window's taps in the same
-        (ki, kj) order as the former np.add.at scatter, so all three
+        (ki, kj) order as the former np.add.at scatter, so both
         gradients match it bit for bit, overlapping windows and zero-padded
         inputs included."""
         rng = np.random.default_rng(RNG_SEED)
@@ -120,9 +113,10 @@ class TestConv2d:
             x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 4)), h, w))
             x = zero_pad(x, pad)
             k = rng.normal(size=(int(rng.integers(1, 4)), x.shape[1], kh, kw))
-            g = rng.normal(size=ops.conv2d(x, k, np.zeros(k.shape[0]), stride).shape)
+            g = rng.normal(size=ops.conv2d(x, k, stride).shape)
             got = ops.conv2d_backward(g, x, k, stride=stride)
             want = add_at_conv2d_backward(g, x, k, stride=stride)
+            assert len(got) == len(want) == 2
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -164,13 +158,12 @@ class TestIm2colOracle:
             if x.shape[2] < kh or x.shape[3] < kw:
                 continue
             kernel = rng.normal(size=(4, x.shape[1], kh, kw))
-            bias = rng.normal(size=4)
-            out = ops.conv2d(x, kernel, bias, stride=stride)
+            out = ops.conv2d(x, kernel, stride=stride)
             grad_out = rng.normal(size=out.shape)
             grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride)
             with monkeypatch.context() as patch:
                 patch.setattr(ops, "_im2col", sliding_window_im2col)
-                old_out = ops.conv2d(x, kernel, bias, stride=stride)
+                old_out = ops.conv2d(x, kernel, stride=stride)
                 old_grads = ops.conv2d_backward(grad_out, x, kernel, stride=stride)
             assert_bitwise_equal(out, old_out)
             for got, want in zip(grads, old_grads):
@@ -337,21 +330,19 @@ class TestLeadingAxes:
 
         assert_stacked_call_equals_separate_calls(rng, call, x, params.get(name))
 
-    @pytest.mark.parametrize("x,kernel,bias,message", [
-        ((1, 2, 4), (1, 2, 2, 2), (1,),
+    @pytest.mark.parametrize("x,kernel,message", [
+        ((1, 2, 4), (1, 2, 2, 2),
          "conv2d expects 4-D input and kernel, got (1, 2, 4) and (1, 2, 2, 2)"),
-        ((1, 2, 4, 4), (2, 2, 2), (1,),
+        ((1, 2, 4, 4), (2, 2, 2),
          "conv2d expects 4-D input and kernel, got (1, 2, 4, 4) and (2, 2, 2)"),
-        ((3, 1, 2, 4, 4), (1, 2, 2, 2), (1,),
+        ((3, 1, 2, 4, 4), (1, 2, 2, 2),
          "conv2d expects 4-D input and kernel, got (3, 1, 2, 4, 4) and (1, 2, 2, 2)"),
-        ((1, 2, 4, 4), (1, 3, 2, 2), (1,), "kernel expects 3 channels, input has 2"),
-        ((1, 2, 4, 4), (3, 2, 2, 2), (2,), "bias must have shape (3,), got (2,)"),
-        ((1, 2, 4, 4), (3, 2, 2, 2), (), "bias must have shape (3,), got ()"),
-        ((1, 1, 2, 2), (1, 1, 5, 5), (1,), "kernel 5x5 larger than input 2x2"),
+        ((1, 2, 4, 4), (1, 3, 2, 2), "kernel expects 3 channels, input has 2"),
+        ((1, 1, 2, 2), (1, 1, 5, 5), "kernel 5x5 larger than input 2x2"),
     ])
-    def test_conv2d_messages(self, x, kernel, bias, message):
+    def test_conv2d_messages(self, x, kernel, message):
         with pytest.raises(DimensionError) as info:
-            ops.conv2d(np.zeros(x), np.zeros(kernel), np.zeros(bias))
+            ops.conv2d(np.zeros(x), np.zeros(kernel))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("mode,x,n,message", [

@@ -134,8 +134,8 @@ class TestPatchify:
         imgs = rng.uniform(0, 1, (2, 3, 8, 12))
         assert sorted(params) == ["proj_bias", "proj_kernel"]
         assert params["proj_kernel"].shape == (5, 3, 4, 4)
-        fmap = ops.conv2d(imgs, params["proj_kernel"], params["proj_bias"], stride=4)
-        expect = fmap.reshape(2, 5, 6).transpose(0, 2, 1)
+        fmap = ops.conv2d(imgs, params["proj_kernel"], stride=4)
+        expect = fmap.reshape(2, 5, 6).transpose(0, 2, 1) + params["proj_bias"]
         np.testing.assert_array_equal(stems.stem_forward(imgs, cfg, params), expect)
 
 
@@ -154,6 +154,48 @@ class TestConvLadder:
         a = stems.stem_forward(imgs, conv, stems.init_stem_params(1, conv))
         b = stems.stem_forward(imgs, ics, stems.init_stem_params(1, ics))
         assert a.shape == b.shape
+
+
+class TestNoLadderBias:
+    """Each ladder convolution feeds a normalization that subtracts a mean
+    over the same channel, so a bias there would cancel (Ioffe & Szegedy,
+    arXiv 1502.03167, section 3.2). The ladder has none; the projection
+    keeps ``proj_bias``."""
+
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_parameter_keys(self, variant):
+        cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
+        assert sorted(stems.init_stem_params(3, cfg)) == sorted(
+            [f"conv{i}_kernel" for i in range(3)]
+            + [f"norm{i}_{name}" for i in range(3) for name in ("gamma", "beta")]
+            + ["proj_bias", "proj_kernel"])
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @pytest.mark.parametrize("variant", ["conv", "ics"])
+    def test_a_ladder_bias_would_cancel(self, monkeypatch, variant, per_sample):
+        """An N(0, 1) bias added to every ladder convolution's output moves
+        the tokens by rounding only."""
+        cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
+        params = stems.init_stem_params(3, cfg)
+        rng = np.random.default_rng(RNG_SEED)
+        images = rng.uniform(0, 1, (3, 3, 16, 16))
+
+        def tokens():
+            return stems.stem_forward_cached(images, cfg, params, per_sample=per_sample)[0]
+
+        plain, conv, biases = tokens(), stems._conv, []
+
+        def biased(x, kernel, stride):
+            out = conv(x, kernel, stride)
+            if stride == stems.LADDER_STRIDE:
+                biases.append(rng.normal(size=out.shape[-3]))
+                out += biases[-1][:, None, None]
+            return out
+
+        monkeypatch.setattr(stems, "_conv", biased)
+        moved = tokens()
+        assert len(biases) == len(cfg.channel_ladder)
+        assert np.abs(moved - plain).max() <= 1e-12
 
 
 class TestNormalizationGroups:
@@ -216,10 +258,7 @@ class TestIcsBehavior:
                                channel_ladder=(4, 8), in_layers=1, eps=1e-12)
         params = stems.init_stem_params(3, cfg)
         imgs = rng.uniform(0, 1, (2, 3, 8, 8))
-        conv_out = ops.conv2d(
-            stems._edge_pad(imgs, 1), params["conv0_kernel"], params["conv0_bias"],
-            stride=2,
-        )
+        conv_out = ops.conv2d(stems._edge_pad(imgs, 1), params["conv0_kernel"], stride=2)
         half = 2
         normed = ops.normalize_cached(conv_out[:, :half], "instance",
                                       np.ones(half), np.zeros(half), eps=1e-12)[0]
@@ -227,8 +266,8 @@ class TestIcsBehavior:
         assert np.abs(normed.var(axis=(2, 3)) - 1).max() < 1e-8
 
     def test_brightness_offset_removed_exactly_by_in_half(self):
-        """Per-image constant offsets vanish in the layer-1 IN half when the
-        first convolution has zero bias; edge-replicate padding keeps the
+        """Per-image constant offsets vanish in the layer-1 IN half: the
+        first convolution has no bias, and edge-replicate padding keeps the
         offset constant across every output position."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = stems.StemConfig("ics", embed_dim=8, patch_stride=4,
@@ -240,7 +279,7 @@ class TestIcsBehavior:
         kernel = params["conv0_kernel"]
 
         def in_half(x):
-            conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, np.zeros(4), stride=2)
+            conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, stride=2)
             return ops.normalize_cached(conv_out[:, :half], "instance",
                                         np.ones(half), np.zeros(half))[0]
 
@@ -260,7 +299,7 @@ class TestIcsBehavior:
         gamma, beta = np.ones(4), np.zeros(4)
 
         def halves(x):
-            conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, np.zeros(4), stride=2)
+            conv_out = ops.conv2d(stems._edge_pad(x, 1), kernel, stride=2)
             in_part = ops.normalize_cached(conv_out[:, :half], "instance",
                                            gamma[:half], beta[:half])[0]
             bn_part = ops.normalize_cached(conv_out[:, half:], "batch",
@@ -382,8 +421,8 @@ class TestOneChannelGroups:
             assert pair.param_grads[key].shape == value.shape, key
 
     def test_ics_gradients_match_fd(self):
-        """Every norm parameter and sampled kernel, bias and input
-        coordinates, on kink-safe images: random ones straddle relu kinks,
+        """Every norm parameter and sampled kernel, projection bias and
+        input coordinates, on kink-safe images: random ones straddle relu kinks,
         where fd measures an averaged slope (0.023 on this draw)."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = self.config("ics")
@@ -463,6 +502,52 @@ class TestBranchedOracle:
         for key, value in grads.items():
             assert_bitwise_equal(value, old_pair.param_grads[key])
 
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_projection_bias_on_tokens(self, variant):
+        """``project_tokens`` adds a nonzero ``proj_bias`` to the tokens; the
+        old form added it to the convolution's GEMM output
+        (conftest.old_form_conv2d). The same add on the same values: the
+        tokens and both projection gradients keep their bits."""
+        from conftest import branched_stem_backward, branched_stem_forward_cached
+
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
+        params = stems.init_stem_params(5, cfg)
+        params["proj_bias"] = rng.normal(size=16)
+        old_params = self.to_branched(variant, params)
+        images = rng.uniform(0, 1, (3, 3, 16, 24))
+        tokens, cache = stems.stem_forward_cached(images, cfg, params)
+        old_tokens, old_cache = branched_stem_forward_cached(images, cfg, old_params)
+        assert_bitwise_equal(tokens, old_tokens)
+        grad_tokens = rng.normal(size=tokens.shape)
+        grads = self.to_branched(variant, stems.stem_backward(grad_tokens, cache, params)
+                                 .param_grads)
+        old_grads = branched_stem_backward(grad_tokens, old_cache, old_params).param_grads
+        prefix = "patch_" if variant == "patchify" else "proj_"
+        for key in (prefix + "kernel", prefix + "bias"):
+            assert_bitwise_equal(grads[key], old_grads[key])
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_stacked_projection_bias_equals_old_form_calls(self, variant):
+        """Copies of ``proj_bias`` stacked on a leading axis
+        (:func:`ops.per_probe`) through one ``project_tokens`` call, against
+        one old-form call per copy (conftest.old_form_project_tokens), on
+        the projection's input of a real forward."""
+        from conftest import old_form_project_tokens
+
+        rng = np.random.default_rng(RNG_SEED)
+        cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
+        params = stems.init_stem_params(5, cfg)
+        _, cache = stems.stem_forward_cached(rng.uniform(0, 1, (2, 3, 16, 24)), cfg, params)
+
+        def call(x, bias):
+            p = {**params, "proj_bias": bias}
+            if bias.ndim == 1:
+                return old_form_project_tokens(x, cfg, p)
+            return stems.project_tokens(x, cfg, p)
+
+        assert_stacked_call_equals_separate_calls(rng, call, cache.proj_in, params["proj_bias"])
+
 
 class TestEdgePadOracle:
     """The slice-copy fill against the np.pad edge form it replaced
@@ -534,14 +619,14 @@ class TestLeadingAxes:
     parameter stacked on P (ops.per_probe) or P distinct inputs: bitwise
     the P separate 4-D calls."""
 
-    @pytest.mark.parametrize("name", ["input", "kernel", "bias"])
+    @pytest.mark.parametrize("name", ["input", "kernel"])
     @pytest.mark.parametrize("kh,stride", [(3, 2), (1, 1), (4, 4)])
     def test_conv_equals_separate_calls(self, monkeypatch, name, kh, stride):
         """Through 4-D conv2d calls only: one folded call for an unstacked
-        kernel and bias, one per copy for a stacked one."""
+        kernel, one per copy for a stacked one."""
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(2, 3, 8, 8))
-        params = {"kernel": rng.normal(size=(5, 3, kh, kh)), "bias": rng.normal(size=5)}
+        kernel = rng.normal(size=(5, 3, kh, kh))
         conv2d, shapes = ops.conv2d, []
 
         def four_d(x, *args, **kwargs):
@@ -549,17 +634,16 @@ class TestLeadingAxes:
             return conv2d(x, *args, **kwargs)
 
         def call(x, value):
-            p = params if name == "input" else {**params, name: value}
-            return stems._conv(x, p["kernel"], p["bias"], stride)
+            return stems._conv(x, kernel if name == "input" else value, stride)
 
         monkeypatch.setattr(ops, "conv2d", four_d)
-        assert_stacked_call_equals_separate_calls(rng, call, x, params.get(name))
+        assert_stacked_call_equals_separate_calls(rng, call, x,
+                                                  None if name == "input" else kernel)
         stacked, separate = shapes[:-3], shapes[-3:]
         assert separate == [x.shape] * 3
         assert stacked == ([(6, 3, 8, 8)] if name == "input" else [x.shape] * 3)
 
-    @pytest.mark.parametrize("name", ["input", "conv_kernel", "conv_bias", "norm_gamma",
-                                      "norm_beta"])
+    @pytest.mark.parametrize("name", ["input", "conv_kernel", "norm_gamma", "norm_beta"])
     @pytest.mark.parametrize("variant,layer,per_sample", [
         ("conv", 1, False), ("ics", 0, False), ("ics", 0, True),
     ], ids=["conv-layer1", "ics-split-layer0", "ics-split-layer0-per-sample"])

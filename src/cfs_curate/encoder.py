@@ -171,26 +171,25 @@ def _attention_backward(grad_out, cache, params, prefix, heads):
     return dy, grads
 
 
-def encoder_forward_cached(images, config: ViTConfig, params, per_sample=False):
+def encoder_forward_cached(images, config: ViTConfig, params):
     """Forward pass keeping every intermediate needed by encoder_backward:
     :func:`stems.stem_forward_cached`, then :func:`forward_from_tokens`.
 
-    Returns ``(features, cache)`` with features of shape (B, D). With
-    ``per_sample`` set, the stem's batch norms use per-sample statistics
-    (see :func:`stems.stem_forward_cached`), so each row of the output is
-    bitwise what a batch of one would give.
+    Returns ``(features, cache)`` with features of shape (B, D). Images
+    may carry batch axes before (B, 3, H, W), as in
+    :func:`stems.stem_forward_cached`: features are then (..., B, D), each
+    leading index bitwise its own 4-D call, so an (N, 1, 3, H, W) input
+    gives each image the feature of a batch of one.
+    :func:`encoder_backward` reads the cache of a 4-D call only.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4 or images.shape[1] != 3:
-        raise DimensionError(f"images must be (B, 3, H, W), got {images.shape}")
-    if images.shape[2:] != config.image_size:
+    stems._check_image_batch(images, config.stem)
+    if images.shape[-2:] != config.image_size:
         raise DimensionError(
-            f"images are {images.shape[2]}x{images.shape[3]}, "
+            f"images are {images.shape[-2]}x{images.shape[-1]}, "
             f"config expects {config.image_size[0]}x{config.image_size[1]}"
         )
-    tokens, stem_cache = stems.stem_forward_cached(
-        images, config.stem, stem_subparams(params), per_sample
-    )
+    tokens, stem_cache = stems.stem_forward_cached(images, config.stem, stem_subparams(params))
     features, head_cache = forward_from_tokens(tokens, config, params)
     return features, (config, stem_cache, *head_cache)
 
@@ -241,9 +240,14 @@ def forward_from_tokens(tokens, config: ViTConfig, params):
 def encoder_backward(grad_features, cache, params) -> GradPair:
     """Gradient of a scalar loss wrt images and every parameter.
 
-    ``grad_features`` is the loss gradient at the (B, D) feature output.
+    ``grad_features`` is the loss gradient at the (B, D) feature output
+    of a 4-D forward; the cache of a forward with leading batch axes is
+    refused.
     """
     config, stem_cache, block_caches, final_cache, out_shape = cache
+    if len(out_shape) != 3:
+        raise DimensionError("encoder_backward reads the cache of a 4-D (B, 3, H, W) forward "
+                             f"only, got batch axes {out_shape[:-2]}")
     grads: dict[str, np.ndarray] = {}
 
     grad_normed = np.zeros(out_shape)
@@ -287,7 +291,7 @@ def encoder_backward(grad_features, cache, params) -> GradPair:
     return GradPair(input_grad=stem_pair.input_grad, param_grads=grads)
 
 
-def encoder_forward(images, config: ViTConfig, params, per_sample=False) -> np.ndarray:
-    features, _ = encoder_forward_cached(images, config, params, per_sample)
+def encoder_forward(images, config: ViTConfig, params) -> np.ndarray:
+    features, _ = encoder_forward_cached(images, config, params)
     return features
 

@@ -8,8 +8,9 @@ per-image arithmetic, so a batch gives bitwise the images a loop over
 it gives. All six transforms are pure functions, so an invariance
 report is reproducible bit for bit. ``invariance_report`` encodes each
 (N, H, W, 3) corpus in one forward pass, its stem's batch norms taking
-statistics over the whole corpus (``mode="batch"``); per-sample
-statistics are what ``pipeline.embed_images`` gives.
+statistics over the whole corpus (``mode="batch"``).
+``pipeline.embed_images`` instead encodes each image as its own batch
+on a leading axis, so each takes its own statistics.
 """
 
 from __future__ import annotations

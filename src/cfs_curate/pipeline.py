@@ -16,10 +16,11 @@ cancels exactly the per-image channel-mean shift the alignment applies:
 both proxies would give every record the same feature up to rounding,
 and the scores would rank floating-point noise.
 
-:func:`embed_images` is the one corpus encoder: batched forward passes
-over chunks of rows in which every normalization uses per-sample
-statistics, so a record's feature, and therefore its score and rank, is
-bitwise what encoding it alone would give and never depends on which
+:func:`embed_images` is the one corpus encoder: one forward pass per
+chunk of rows, encoded as (n, 1, 3, H, W) so that each image is its own
+batch on a leading axis and every normalization takes that image's
+statistics alone. A record's feature, and therefore its score and rank,
+is bitwise what encoding it alone would give and never depends on which
 other records happen to be embedded alongside it, or on the chunking.
 """
 
@@ -51,10 +52,11 @@ def default_vit_config(stem_variant: str, image_size, embed_dim: int = 32,
 
 def embed_images(images, ids, config: ViTConfig, params) -> EmbeddingSet:
     """Encode (N, H, W, 3) images, rows in input order, over chunks of at
-    most ``CHUNK_BYTES`` of input with per-sample statistics: each record
-    gets bitwise the feature it would get if encoded alone. A conv or ics
-    stem whose last ladder map is 1x1 is refused, because every image
-    would get the same feature."""
+    most ``CHUNK_BYTES`` of input. Each chunk goes through the encoder as
+    (n, 1, 3, H, W), one batch of one per image, so each record gets
+    bitwise the feature it would get if encoded alone. A conv or ics stem
+    whose last ladder map is 1x1 is refused, because every image would get
+    the same feature."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[-1] != 3:
         raise DimensionError(f"expected (N, H, W, 3) images, got {images.shape}")
@@ -62,8 +64,8 @@ def embed_images(images, ids, config: ViTConfig, params) -> EmbeddingSet:
     features = np.empty((images.shape[0], config.embed_dim))
     for i in range(0, images.shape[0], chunk):
         features[i:i + chunk] = encoder_forward(
-            images[i:i + chunk].transpose(0, 3, 1, 2), config, params, per_sample=True
-        )
+            images[i:i + chunk, None].transpose(0, 1, 4, 2, 3), config, params
+        )[:, 0]
     return EmbeddingSet(ids, features)
 
 

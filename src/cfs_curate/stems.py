@@ -26,7 +26,7 @@ variants differ only in that data:
   to per-image color changes; deeper layers use batch normalization only.
 
 A split layer normalizes channels ``[:half]`` by instance and ``[half:]``
-by batch (or per sample); any other layer is one group of all channels.
+by batch; any other layer is one group of all channels.
 Each group's output is written in place into the layer's one array; in
 the backward pass its gradient overwrites its slice of the relu gradient.
 """
@@ -146,10 +146,10 @@ def init_stem_params(seed, config: StemConfig) -> dict[str, np.ndarray]:
 
 
 def _check_image_batch(images: np.ndarray, config: StemConfig):
-    if images.ndim != 4 or images.shape[1] != 3:
-        raise DimensionError(f"images must be (B, 3, H, W), got {images.shape}")
+    if images.ndim < 4 or images.shape[-3] != 3:
+        raise DimensionError(f"images must be (..., B, 3, H, W), got {images.shape}")
     p = config.patch_stride
-    _, _, h, w = images.shape
+    h, w = images.shape[-2:]
     if h % p or w % p:
         raise DimensionError(f"image size {h}x{w} not divisible by patch stride {p}")
 
@@ -187,14 +187,14 @@ def _conv(x, kernel, stride):
     its shape contract (and the benchmark tracer's conv2d span, which reads
     a 4-D output) holds. conv2d is one GEMM per sample, so an unstacked
     kernel takes the leading axes folded into one batch, and the bits are
-    those of separate calls; a stacked kernel (:func:`ops.per_probe`)
-    takes one call per copy."""
+    those of separate calls; a stacked kernel takes one call per leading
+    index, its copies meeting the data by the :func:`ops.per_probe` rule."""
     *lead, c, h, w = x.shape
     if kernel.ndim == 4:
         out = ops.conv2d(x.reshape(-1, c, h, w), kernel, stride=stride)
         return out.reshape(*lead, *out.shape[1:])
     probes = x.shape[:-4]
-    kernel = np.broadcast_to(kernel, probes + kernel.shape[-4:])
+    kernel = np.broadcast_to(ops.per_probe(kernel, 4, x.ndim), probes + kernel.shape[-4:])
     out = [ops.conv2d(x[i], kernel[i], stride=stride) for i in np.ndindex(probes)]
     return np.stack(out).reshape(*probes, *out[0].shape)
 
@@ -222,30 +222,28 @@ class _StemCache:
         return self.proj_in.shape[2] // s, self.proj_in.shape[3] // s
 
 
-def ladder_layer(x, i, config: StemConfig, params, per_sample=False):
+def ladder_layer(x, i, config: StemConfig, params):
     """Ladder layer ``i`` on its input ``x``: edge pad, 3x3 stride-2
     convolution, normalization (instance half and batch half on the first
     ``config.split_layers`` layers, one batch group after), relu.
 
     Returns the relu output, which is the next layer's input, and the
-    layer's entry of the backward cache. ``per_sample`` is as in
-    :func:`stem_forward_cached`. ``x`` may carry batch axes before
+    layer's entry of the backward cache. ``x`` may carry batch axes before
     (B, C, H, W), and the layer's parameters probe axes to match
     (:func:`ops.per_probe`); each leading index then gets the bits of its
     own 4-D call. The convolution folds the leading axes into the batch
     (:func:`_conv`). :func:`stem_backward` reads 4-D caches only.
     """
     out_c = config.channel_ladder[i]
-    bn_mode = "instance" if per_sample else "batch"
     kernel = params[f"conv{i}_kernel"]
     padded = _edge_pad(x, LADDER_PAD)
     conv_out = _conv(padded, kernel, LADDER_STRIDE)
     gamma = params[f"norm{i}_gamma"]
     beta = params[f"norm{i}_beta"]
     if i < config.split_layers:
-        groups = ((slice(None, out_c // 2), "instance"), (slice(out_c // 2, None), bn_mode))
+        groups = ((slice(None, out_c // 2), "instance"), (slice(out_c // 2, None), "batch"))
     else:
-        groups = ((slice(None), bn_mode),)
+        groups = ((slice(None), "batch"),)
     normed = np.empty_like(conv_out)
     norm_cache = []
     for channels, mode in groups:
@@ -268,34 +266,31 @@ def project_tokens(x, config: StemConfig, params) -> np.ndarray:
     return tokens + ops.per_probe(params["proj_bias"], 1, tokens.ndim)
 
 
-def stem_forward_cached(images, config: StemConfig, params, per_sample=False):
+def stem_forward_cached(images, config: StemConfig, params):
     """Run any stem variant, keeping what the backward pass needs.
 
     The forward is :func:`ladder_layer` for each ladder layer in turn,
     then :func:`project_tokens`; a caller that holds the input of one of
     these stages can resume there and get the same bits.
 
-    With ``per_sample`` set, every batch-norm layer (and batch-norm half)
-    normalizes each sample over (H, W) alone, which is exactly what batch
-    norm computes on a batch of one; the tokens of a sample then never
-    depend on the rest of the batch. A ladder that would normalize a 1x1
-    map per sample, or in a batch of one, is refused: its output would be
-    ``beta`` for every image.
+    ``images`` is (B, 3, H, W), or carries batch axes before B: each
+    leading index is then its own batch, with its own batch-norm
+    statistics, and gets the bits of its own 4-D call. An (N, 1, 3, H, W)
+    input thus gives each image the tokens of a batch of one, which never
+    depend on the other images. A ladder whose last layer would normalize
+    a 1x1 map over one image is refused: its output would be ``beta`` for
+    every image.
     """
     _check_image_batch(images, config)
     p = config.patch_stride
-    if (config.channel_ladder and images.shape[2:] == (p, p)
-            and (per_sample or images.shape[0] == 1)):
-        population = "per sample" if per_sample else "in a batch of one"
-        raise ConfigError(
-            f"normalizing the last {config.variant} ladder layer {population} "
-            f"sees a 1x1 map at image size {p}x{p}; every image would get the same "
-            "feature (use larger images, a smaller patch stride or a larger batch)"
-        )
+    if config.channel_ladder and images.shape[-2:] == (p, p) and images.shape[-4] == 1:
+        raise ConfigError(f"the {config.variant} stem reduces {p}x{p} images to a 1x1 map; "
+                          "normalizing it over one image gives every image the same feature "
+                          f"(use images larger than {p}x{p} or a smaller patch stride)")
     layers = []
     x = images
     for i in range(len(config.channel_ladder)):
-        x, layer = ladder_layer(x, i, config, params, per_sample)
+        x, layer = ladder_layer(x, i, config, params)
         layers.append(layer)
     return project_tokens(x, config, params), _StemCache(config, layers, x)
 
@@ -304,7 +299,10 @@ def stem_backward(grad_tokens: np.ndarray, cache: _StemCache, params) -> GradPai
     """Map a token-sequence gradient back to image and parameter gradients.
     ``proj_bias``'s gradient is the gradient map summed over (B, H', W');
     the tokens summed over (B, T) hold the same terms but can round
-    differently."""
+    differently. Only the cache of a 4-D forward is read."""
+    if cache.proj_in.ndim != 4:
+        raise DimensionError("stem_backward reads the cache of a 4-D (B, 3, H, W) forward "
+                             f"only, got batch axes {cache.proj_in.shape[:-3]}")
     grad_map = _map_from_tokens(grad_tokens, *cache.map_hw)
     grad, dk = ops.conv2d_backward(
         grad_map, cache.proj_in, params["proj_kernel"], stride=cache.config.proj_stride

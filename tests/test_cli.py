@@ -241,6 +241,17 @@ class TestExitCodes:
         assert run("embed", *sources, "--stem", "conv", "--out", str(emb)) == 1
         assert not emb.exists()
 
+    def test_collapsing_stem_message_fits_embed(self, tmp_path, capsys):
+        """embed encodes each image as its own batch, so the refusal names
+        the stem and the image size and advises only what embed can change."""
+        corpus = make_corpus(tmp_path)
+        sources = [str(p) for p in sorted(corpus.glob("src-*.ppm"))[:3]]
+        capsys.readouterr()
+        assert run("embed", *sources, "--stem", "conv", "--out", str(tmp_path / "e.emb")) == 1
+        err = capsys.readouterr().err
+        assert "conv stem" in err and "16x16 images" in err and "1x1 map" in err
+        assert "larger batch" not in err and "per sample" not in err
+
 
 class TestCorpusLoading:
     """embed and cka read every image before they compare shapes: a shape

@@ -108,15 +108,16 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(a[perm], b)
 
     def test_per_image_mode_isolates_batch_norm(self):
-        """With a BN stem, a record's per-sample feature does not depend on
-        what it is batched with; its whole-batch feature does."""
+        """With a BN stem, a record that is its own batch on a leading axis,
+        (N, 1, 3, H, W), gets a feature that does not depend on the other
+        records; its whole-batch feature does."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = ics_cfg()
         params = encoder.init_params(5, cfg)
         a = rng.uniform(0, 1, (1, 3, 8, 8))
         b = rng.uniform(0, 1, (1, 3, 8, 8))
         c = rng.uniform(0, 1, (1, 3, 8, 8))
-        ab, ac = (encoder.encoder_forward(np.concatenate([a, x]), cfg, params, per_sample=True)
+        ab, ac = (encoder.encoder_forward(np.stack([a, x]), cfg, params)[:, 0]
                   for x in (b, c))
         np.testing.assert_array_equal(ab[0], ac[0])
         ab_batch, ac_batch = (encoder.encoder_forward(np.concatenate([a, x]), cfg, params)
@@ -159,8 +160,8 @@ def nhwc(images):
 
 
 class TestPerImageMode:
-    """embed_images runs chunked batched forwards with per-sample
-    statistics; each feature must be bitwise what encoding the image alone
+    """embed_images runs chunked forwards on (n, 1, 3, H, W), each image its
+    own batch; each feature must be bitwise what encoding the image alone
     gives."""
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
@@ -219,7 +220,7 @@ class TestPerImageMode:
     @pytest.mark.parametrize("variant", ["conv", "ics"])
     def test_refuses_per_sample_norm_of_1x1_map(self, variant):
         """At 16x16 and stride 16 the last ladder map is 1x1; normalizing it
-        per sample outputs beta, so every image would get one feature."""
+        over one image outputs beta, so every image would get one feature."""
         rng = np.random.default_rng(RNG_SEED)
         cfg = stride16_cfg(variant, (16, 16))
         params = encoder.init_params(3, cfg)
@@ -342,28 +343,26 @@ class TestLongFormOracle:
     replaced monkeypatched in: the long-form normalization
     (conftest.long_form_normalize_*) and the np.add.at edge-pad backward.
     Features are bitwise equal, and every gradient is within 1e-14 of the
-    call's largest gradient. The ladder conv biases move most relative to
-    themselves: their true gradient is exactly 0, since batch norm
-    removes a per-channel constant. The largest shift (7.8e-15) is at
-    32x16, stride 16, per sample, where the last ladder layer normalizes
-    a two-pixel map and its input gradient nearly cancels."""
+    call's largest gradient. A batch of three, and a batch of one (the
+    ``per_sample`` ids), whose batch norms take one image's statistics,
+    as each image of embed_images' (n, 1, 3, H, W) chunks does."""
 
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @pytest.mark.parametrize("n_images", [3, 1], ids=["batch", "per_sample"])
     @pytest.mark.parametrize("size,stride,dim", [
         ((8, 8), 4, 8), ((16, 16), 8, 16), ((32, 16), 16, 32), ((16, 24), 4, 16),
     ], ids=["8x8-p4-d8", "16x16-p8-d16", "32x16-p16-d32", "16x24-p4-d16"])
     @pytest.mark.parametrize("variant", stems.VARIANTS)
-    def test_gradients_match(self, monkeypatch, variant, size, stride, dim, per_sample):
+    def test_gradients_match(self, monkeypatch, variant, size, stride, dim, n_images):
         rng = np.random.default_rng(RNG_SEED)
         cfg = encoder.ViTConfig(depth=2, heads=2, embed_dim=dim, image_size=size,
                                 stem=stems.StemConfig(variant, embed_dim=dim,
                                                       patch_stride=stride))
         params = encoder.init_params(11, cfg)
-        imgs = rng.uniform(0, 1, (3, 3, *size))
-        w = rng.normal(size=(3, dim))
+        imgs = rng.uniform(0, 1, (3, 3, *size))[:n_images]
+        w = rng.normal(size=(3, dim))[:n_images]
 
         def run():
-            features, cache = encoder.encoder_forward_cached(imgs, cfg, params, per_sample)
+            features, cache = encoder.encoder_forward_cached(imgs, cfg, params)
             return features, encoder.encoder_backward(w, cache, params)
 
         features, pair = run()
@@ -385,7 +384,38 @@ class TestLongFormOracle:
 class TestLeadingAxes:
     """forward_from_tokens on (P, B, T, D) tokens, with one parameter
     stacked on P (ops.per_probe) or P distinct token sets: features bitwise
-    those of the P separate (B, T, D) calls."""
+    those of the P separate (B, T, D) calls. encoder_forward on
+    (P, 1, 3, H, W) images: bitwise the P batches of one. The backward
+    reads the cache of a 4-D forward only."""
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_encoder_forward_equals_separate_calls(self, variant):
+        cfg = stride16_cfg(variant, (32, 16))
+        rng = np.random.default_rng(RNG_SEED)
+        params = encoder.init_params(5, cfg)
+        images = rng.uniform(0.05, 0.95, size=(1, 3, 32, 16))
+
+        def call(images, _):
+            return encoder.encoder_forward(images, cfg, params)
+
+        assert_stacked_call_equals_separate_calls(rng, call, images, None)
+
+    @pytest.mark.parametrize("through", ["encoder_backward", "stem_backward"])
+    @pytest.mark.parametrize("variant", ["patchify", "conv"])
+    def test_backward_refuses_leading_axis_cache(self, variant, through):
+        cfg = stride16_cfg(variant)
+        rng = np.random.default_rng(RNG_SEED)
+        params = encoder.init_params(5, cfg)
+        images = rng.uniform(0, 1, (4, 1, 3, 32, 32))
+        if through == "encoder_backward":
+            out, cache = encoder.encoder_forward_cached(images, cfg, params)
+            backward = encoder.encoder_backward
+        else:
+            params = encoder.stem_subparams(params)
+            out, cache = stems.stem_forward_cached(images, cfg.stem, params)
+            backward = stems.stem_backward
+        with pytest.raises(DimensionError, match=r"4-D \(B, 3, H, W\) forward only"):
+            backward(np.ones_like(out), cache, params)
 
     @pytest.mark.parametrize("name", ["tokens", *sorted(
         k for k in encoder.init_params(0, patchify_cfg()) if not k.startswith("stem."))])

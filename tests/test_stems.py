@@ -12,6 +12,10 @@ from conftest import (add_at_edge_pad_backward, assert_bitwise_equal,
 
 RNG_SEED = 42
 
+# A whole-batch call on (B, 3, H, W), or each image its own batch of one
+# on (B, 1, 3, H, W), as embed_images encodes a chunk.
+OWN_BATCH = pytest.mark.parametrize("own_batch", [False, True], ids=["batch", "per_sample"])
+
 
 def small_config(variant, in_layers=2):
     ladder = () if variant == "patchify" else (4, 8)
@@ -170,18 +174,20 @@ class TestNoLadderBias:
             + [f"norm{i}_{name}" for i in range(3) for name in ("gamma", "beta")]
             + ["proj_bias", "proj_kernel"])
 
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @OWN_BATCH
     @pytest.mark.parametrize("variant", ["conv", "ics"])
-    def test_a_ladder_bias_would_cancel(self, monkeypatch, variant, per_sample):
+    def test_a_ladder_bias_would_cancel(self, monkeypatch, variant, own_batch):
         """An N(0, 1) bias added to every ladder convolution's output moves
         the tokens by rounding only."""
         cfg = stems.StemConfig(variant, embed_dim=16, patch_stride=8)
         params = stems.init_stem_params(3, cfg)
         rng = np.random.default_rng(RNG_SEED)
         images = rng.uniform(0, 1, (3, 3, 16, 16))
+        if own_batch:
+            images = images[:, None]
 
         def tokens():
-            return stems.stem_forward_cached(images, cfg, params, per_sample=per_sample)[0]
+            return stems.stem_forward_cached(images, cfg, params)[0]
 
         plain, conv, biases = tokens(), stems._conv, []
 
@@ -201,42 +207,43 @@ class TestNoLadderBias:
 class TestNormalizationGroups:
     """Each ladder layer normalizes its groups only: one group of all
     channels, or on a split ics layer an instance half and a batch half.
-    No group is empty."""
+    No group is empty. Images that are each their own batch take the same
+    calls on one more leading axis."""
 
     @staticmethod
-    def normalized_groups(monkeypatch, cfg, per_sample):
+    def normalized_groups(monkeypatch, cfg, own_batch):
         calls = []
         normalize_cached = ops.normalize_cached
 
         def counted(x, mode, gamma, beta, eps):
-            calls.append((mode, x.shape[1]))
+            calls.append((mode, x.ndim, x.shape[-3]))
             return normalize_cached(x, mode, gamma, beta, eps)
 
         monkeypatch.setattr(ops, "normalize_cached", counted)
         images = np.random.default_rng(RNG_SEED).uniform(0, 1, (2, 3, 32, 32))
-        stems.stem_forward_cached(images, cfg, stems.init_stem_params(1, cfg),
-                                  per_sample=per_sample)
+        stems.stem_forward_cached(images[:, None] if own_batch else images, cfg,
+                                  stems.init_stem_params(1, cfg))
         return calls
 
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
-    def test_conv_one_call_per_layer(self, monkeypatch, per_sample):
+    @OWN_BATCH
+    def test_conv_one_call_per_layer(self, monkeypatch, own_batch):
         cfg = stems.StemConfig("conv", embed_dim=32, patch_stride=16)
-        mode = "instance" if per_sample else "batch"
-        assert self.normalized_groups(monkeypatch, cfg, per_sample) == [
-            (mode, 4), (mode, 8), (mode, 16), (mode, 32)]
+        ndim = 5 if own_batch else 4
+        assert self.normalized_groups(monkeypatch, cfg, own_batch) == [
+            ("batch", ndim, 4), ("batch", ndim, 8), ("batch", ndim, 16), ("batch", ndim, 32)]
 
     @pytest.mark.parametrize("in_layers", [0, 1, 2, 4])
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
-    def test_ics_two_calls_on_split_layers_one_after(self, monkeypatch, per_sample, in_layers):
+    @OWN_BATCH
+    def test_ics_two_calls_on_split_layers_one_after(self, monkeypatch, own_batch, in_layers):
         cfg = stems.StemConfig("ics", embed_dim=32, patch_stride=16, in_layers=in_layers)
-        mode = "instance" if per_sample else "batch"
+        ndim = 5 if own_batch else 4
         expected = []
         for i, out_c in enumerate(cfg.channel_ladder):
             if i < in_layers:
-                expected += [("instance", out_c // 2), (mode, out_c // 2)]
+                expected += [("instance", ndim, out_c // 2), ("batch", ndim, out_c // 2)]
             else:
-                expected.append((mode, out_c))
-        assert self.normalized_groups(monkeypatch, cfg, per_sample) == expected
+                expected.append(("batch", ndim, out_c))
+        assert self.normalized_groups(monkeypatch, cfg, own_batch) == expected
 
 
 class TestIcsBehavior:
@@ -465,12 +472,16 @@ class TestBranchedOracle:
             return params
         return {k.replace("proj_", "patch_"): v for k, v in params.items()}
 
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @OWN_BATCH
     @pytest.mark.parametrize("shape,stride,dim", [
         ((3, 3, 32, 32), 16, 32), ((3, 3, 64, 32), 8, 16), ((2, 3, 16, 16), 4, 8),
     ])
     @pytest.mark.parametrize("variant", stems.VARIANTS)
-    def test_bitwise_equal(self, variant, shape, stride, dim, per_sample):
+    def test_bitwise_equal(self, variant, shape, stride, dim, own_batch):
+        """Images that are each their own batch, (B, 1, 3, H, W), against
+        the branched forward's per-sample statistics: the tokens and each
+        layer's normalized output, at [:, 0]. The backward reads a 4-D
+        cache only and refuses theirs."""
         from conftest import (branched_init_stem_params, branched_stem_backward,
                               branched_stem_forward_cached)
 
@@ -485,9 +496,17 @@ class TestBranchedOracle:
             assert_bitwise_equal(value, old_params[key])
 
         images = rng.uniform(0, 1, shape)
-        tokens, cache = stems.stem_forward_cached(images, cfg, params, per_sample=per_sample)
         old_tokens, old_cache = branched_stem_forward_cached(
-            images, cfg, old_params, per_sample=per_sample)
+            images, cfg, old_params, per_sample=own_batch)
+        if own_batch:
+            tokens, cache = stems.stem_forward_cached(images[:, None], cfg, params)
+            assert_bitwise_equal(tokens[:, 0], old_tokens)
+            for layer, old_layer in zip(cache.layers, old_cache.layers, strict=True):
+                assert_bitwise_equal(layer[5][:, 0], old_layer[5])
+            with pytest.raises(DimensionError, match="4-D"):
+                stems.stem_backward(rng.normal(size=tokens.shape), cache, params)
+            return
+        tokens, cache = stems.stem_forward_cached(images, cfg, params)
         assert_bitwise_equal(tokens, old_tokens)
         assert len(cache.layers) == len(old_cache.layers) == len(cfg.channel_ladder)
         for layer, old_layer in zip(cache.layers, old_cache.layers):
@@ -644,20 +663,24 @@ class TestLeadingAxes:
         assert stacked == ([(6, 3, 8, 8)] if name == "input" else [x.shape] * 3)
 
     @pytest.mark.parametrize("name", ["input", "conv_kernel", "norm_gamma", "norm_beta"])
-    @pytest.mark.parametrize("variant,layer,per_sample", [
+    @pytest.mark.parametrize("variant,layer,own_batch", [
         ("conv", 1, False), ("ics", 0, False), ("ics", 0, True),
     ], ids=["conv-layer1", "ics-split-layer0", "ics-split-layer0-per-sample"])
-    def test_ladder_layer_equals_separate_calls(self, variant, layer, per_sample, name):
+    def test_ladder_layer_equals_separate_calls(self, variant, layer, own_batch, name):
+        """The per-sample case is a (B, 1, C, H, W) input, each sample its
+        own batch; its stacked call has two batch axes before (1, C, H, W)."""
         cfg = small_config(variant, in_layers=1)
         assert (layer < cfg.split_layers) == (variant == "ics")
         rng = np.random.default_rng(RNG_SEED)
         params = stems.init_stem_params(1, cfg)
         x = rng.uniform(0.05, 0.95, size=(2, (3, 4)[layer], 8 >> layer, 8 >> layer))
+        if own_batch:
+            x = x[:, None]
         key = name.replace("_", f"{layer}_")
 
         def call(x, value):
             p = params if name == "input" else {**params, key: value}
-            return stems.ladder_layer(x, layer, cfg, p, per_sample)[0]
+            return stems.ladder_layer(x, layer, cfg, p)[0]
 
         assert_stacked_call_equals_separate_calls(rng, call, x, params.get(key))
 

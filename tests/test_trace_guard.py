@@ -6,11 +6,17 @@ guard installs the tracer, uninstalls it, and checks that the package and
 its public names come back intact. The traced spans also read their
 arguments and results (``ops.conv2d``'s a 4-D output), so ``check``, whose
 probes run stacked forwards, must run under the tracer without a span
-error.
+error. ``embed`` encodes each chunk as (n, 1, 3, H, W), one batch per
+image; ``encoder.encoder_forward``'s span counts ``len(images)``, so its
+image count must still be the number of images embedded. Both are
+guards, not regression tests: they also pass where ``embed`` encoded
+(n, 3, H, W) chunks with per-sample statistics.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import cfs_curate
 import cfs_curate.cli  # traced as cli.main
@@ -48,4 +54,24 @@ def test_check_runs_under_the_tracer(tmp_path):
         problems = recorder.uninstall(cfs_curate)
     assert problems == []
     assert totals["ops.conv2d"]["calls"] > 0
+    assert {name: row["errors"] for name, row in totals.items() if row["errors"]} == {}
+
+
+@pytest.mark.parametrize("variant", ["patchify", "conv", "ics"])
+def test_embed_runs_under_the_tracer(tmp_path, variant):
+    corpus = tmp_path / "corpus"
+    assert cfs_curate.cli.main(["synth", "--seed", "4", "--n-per-domain", "3", "--height",
+                                "32", "--width", "32", "--out", str(corpus)]) == 0
+    sources = sorted(str(p) for p in corpus.glob("*.ppm"))
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    try:
+        recorder.install(cfs_curate)
+        assert cfs_curate.cli.main(["embed", *sources, "--stem", variant,
+                                    "--out", str(tmp_path / "e.emb")]) == 0
+        totals = recorder.collect()
+    finally:
+        problems = recorder.uninstall(cfs_curate)
+    assert problems == []
+    assert totals["encoder.encoder_forward"]["images"] == len(sources) == 6
     assert {name: row["errors"] for name, row in totals.items() if row["errors"]} == {}

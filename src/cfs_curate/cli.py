@@ -344,7 +344,8 @@ def _gradient_self_test(variant: str) -> float:
     central differences, on CHECK_COORDS_PER_TENSOR coordinates of each
     tensor. The 2 * picks perturbed copies of a tensor, each ``original
     +- FD_STEP`` at one pick, go through one forward (:func:`_resumable_loss`),
-    and the differences are the IEEE operations of :func:`ops.fd_gradient`.
+    and each difference is ``(up - down) / (2 * FD_STEP)``, the IEEE
+    operations of a coordinate-by-coordinate central difference.
     ``params`` is never written."""
     rng = np.random.default_rng(CHECK_PROBE_SEED)
     config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
@@ -413,66 +414,60 @@ def _add_corpus_flags(parser):
     parser.add_argument("--extreme-fraction", type=float, default=0.1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cfs-curate",
-                     description="Feature-similarity data curation toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("embed", help="encode PPM images into an embedding file")
+def _embed_flags(p):
     p.add_argument("images", nargs="+", help="input .ppm images; ids are file stems")
     p.add_argument("--stem", choices=stems.VARIANTS, default="patchify")
     p.add_argument("--seed", type=int, default=0)
     _add_out(p, required=True, help_text="output embedding file")
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("score", help="rank records by feature-similarity score")
+
+def _score_flags(p):
     p.add_argument("by_source", help="embedding file under the source proxy")
     p.add_argument("by_target", help="embedding file under the target proxy")
     _add_out(p)
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("filter", help="keep the top-scored ids from a score report")
+
+def _filter_flags(p):
     p.add_argument("scores", help="score report JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ratio", type=float, default=None)
     group.add_argument("--n-prime", type=int, default=None)
     _add_out(p)
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("select", help="compare selection strategies on a synthetic corpus "
-                       "(patchify stem)")
+
+def _select_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--k", type=int, default=16)
     _add_corpus_flags(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("cka", help="feature-stability scores under augmentations")
+
+def _cka_flags(p):
     p.add_argument("images", nargs="+", help="corpus .ppm images")
     p.add_argument("--stem", choices=stems.VARIANTS, default="patchify")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", default=None,
                    help="comma-separated augmentation kinds (default: all six)")
     _add_out(p)
-    p.set_defaults(func=_cmd_cka)
 
-    p = sub.add_parser("augment", help="apply one augmentation to a PPM image")
+
+def _augment_flags(p):
     p.add_argument("image")
     p.add_argument("--kind", choices=AUGMENTATION_KINDS, required=True)
     p.add_argument("--magnitude", type=float, default=None,
                    help="default: the per-kind default magnitude")
     _add_out(p, required=True, help_text="output .ppm path")
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("hdh", help="empirical divergence between two sample sets")
+
+def _hdh_flags(p):
     p.add_argument("samples1", help="embedding file")
     p.add_argument("samples2", help="embedding file")
     p.add_argument("--max-thresholds", type=int, default=16)
     _add_out(p)
-    p.set_defaults(func=_cmd_hdh)
 
-    p = sub.add_parser("bound", help="evaluate the excess-risk bound right-hand side")
+
+def _bound_flags(p):
     p.add_argument("--d-hdh", type=float, required=True)
     p.add_argument("--f-hat-t", type=float, required=True)
     p.add_argument("--f-t-star", type=float, required=True)
@@ -481,23 +476,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     _add_out(p)
-    p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("synth", help="generate the synthetic two-domain corpus")
+
+def _synth_flags(p):
     p.add_argument("--seed", type=int, default=0)
     _add_corpus_flags(p)
     _add_out(p, required=True, help_text="output directory")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("check", help="run identity and gradient self-tests")
-    _add_out(p)
-    p.set_defaults(func=_cmd_check)
 
+# each command's help line, flags and handler, in the order ``--help`` lists them
+COMMANDS = {
+    "embed": ("encode PPM images into an embedding file", _embed_flags, _cmd_embed),
+    "score": ("rank records by feature-similarity score", _score_flags, _cmd_score),
+    "filter": ("keep the top-scored ids from a score report", _filter_flags, _cmd_filter),
+    "select": ("compare selection strategies on a synthetic corpus (patchify stem)",
+               _select_flags, _cmd_select),
+    "cka": ("feature-stability scores under augmentations", _cka_flags, _cmd_cka),
+    "augment": ("apply one augmentation to a PPM image", _augment_flags, _cmd_augment),
+    "hdh": ("empirical divergence between two sample sets", _hdh_flags, _cmd_hdh),
+    "bound": ("evaluate the excess-risk bound right-hand side", _bound_flags, _cmd_bound),
+    "synth": ("generate the synthetic two-domain corpus", _synth_flags, _cmd_synth),
+    "check": ("run identity and gradient self-tests", _add_out, _cmd_check),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only ``command``'s subparser when it names one
+    of ``COMMANDS`` and all of them otherwise. One subparser costs a
+    fraction of ten. Its fixed metavar lists every command in the usage
+    line, so it prints what the full parser prints for that command; the
+    full parser keeps argparse's metavar, which its errors call
+    ``command``."""
+    parser = _Parser(prog="cfs-curate",
+                     description="Feature-similarity data curation toolkit.")
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        help_text, add_flags, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

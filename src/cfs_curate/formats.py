@@ -136,7 +136,7 @@ def read_embeddings(path) -> EmbeddingSet:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _ppm_tokens(data: bytes, path: Path):
+def _ppm_tokens(data: bytes, path):
     """Read the four header tokens, skipping whitespace and # comments; then
     report the payload offset."""
     pos = 0
@@ -144,41 +144,46 @@ def _ppm_tokens(data: bytes, path: Path):
     for _ in range(4):
         match = _PPM_TOKEN.match(data, pos)
         if match is None:
-            raise FormatError(f"{path}: truncated header")
+            raise FormatError(f"{Path(path)}: truncated header")
         tokens.append(match.group(1))
         pos = match.end()
     # exactly one whitespace byte separates maxval from the payload
     if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
-        raise FormatError(f"{path}: missing whitespace before payload")
+        raise FormatError(f"{Path(path)}: missing whitespace before payload")
     return tokens, pos + 1
 
 
 def read_image_ppm(path) -> np.ndarray:
-    """Binary P6 PPM with maxval 255, scaled to float64 in [0, 1]."""
-    path = Path(path)
+    """Binary P6 PPM with maxval 255, scaled to float64 in [0, 1]. The file
+    is read in one unbuffered read; ``Path(path)`` is built only for an
+    error message."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            data = file.read()
     except OSError as exc:
+        path = Path(path)
+        if exc.filename is not None:  # the OS error names the file as the message does
+            exc.filename = str(path)
         raise FormatError(f"cannot read image from {path}: {exc}") from exc
     tokens, offset = _ppm_tokens(data, path)
     if tokens[0] != b"P6":
-        raise FormatError(f"{path}: not a P6 file (magic {tokens[0]!r})")
+        raise FormatError(f"{Path(path)}: not a P6 file (magic {tokens[0]!r})")
     if not all(t.isdigit() for t in tokens[1:]):  # bytes.isdigit is ASCII 0-9 only
-        raise FormatError(f"{path}: header fields must be decimal digits, got {tokens[1:]}")
+        raise FormatError(f"{Path(path)}: header fields must be decimal digits, got {tokens[1:]}")
     if any(len(t) > _PPM_MAX_DIGITS for t in tokens[1:]):
-        raise FormatError(f"{path}: a header number has more than {_PPM_MAX_DIGITS} digits")
+        raise FormatError(f"{Path(path)}: a header number has more than {_PPM_MAX_DIGITS} digits")
     width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: bad dimensions {width}x{height}")
+        raise FormatError(f"{Path(path)}: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise FormatError(f"{path}: maxval must be 255, got {maxval}")
+        raise FormatError(f"{Path(path)}: maxval must be 255, got {maxval}")
     need = width * height * 3
     if len(data) - offset != need:
         raise FormatError(
-            f"{path}: payload is {len(data) - offset} bytes, expected {need}"
+            f"{Path(path)}: payload is {len(data) - offset} bytes, expected {need}"
         )
-    pixels = np.frombuffer(data, np.uint8, need, offset).reshape(height, width, 3)
-    return pixels.astype(np.float64) / 255.0
+    # uint8 / float divides in float64, bitwise astype(np.float64) / 255.0
+    return np.frombuffer(data, np.uint8, need, offset).reshape(height, width, 3) / 255.0
 
 
 def write_image_ppm(image, path) -> None:

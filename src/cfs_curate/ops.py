@@ -2,8 +2,9 @@
 
 Every forward here is a pure function of float64 arrays. Each one has a
 paired ``*_backward`` that maps an upstream gradient to gradients with
-respect to the inputs, derived by hand and validated against
-:func:`fd_gradient`. There is no graph or tape; composite models chain
+respect to the inputs, derived by hand and validated against central
+differences at step ``FD_STEP`` (the tests' coordinate-loop oracle, and
+``check``'s probes). There is no graph or tape; composite models chain
 these transforms explicitly.
 
 Conventions: images and feature maps are ``(B, C, H, W)``, convolution is
@@ -37,7 +38,7 @@ GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
 
 NORM_MODES = ("batch", "instance", "layer")
-# central-difference step of fd_gradient and the denominator floor of
+# central-difference step of the gradient checks and the denominator floor of
 # max_relative_error, so coordinates where both gradients vanish (dead
 # relu paths) do not divide by zero
 FD_STEP = 1e-4
@@ -274,30 +275,7 @@ def softmax_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def fd_gradient(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function at step ``FD_STEP``,
-    coordinate by coordinate.
-
-    Independent of every analytic backward in this module; used as the
-    reference they are checked against.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    probe = x.copy()
-    pflat = probe.reshape(-1)
-    for i in range(pflat.size):
-        orig = pflat[i]
-        pflat[i] = orig + FD_STEP
-        up = float(f(probe))
-        pflat[i] = orig - FD_STEP
-        down = float(f(probe))
-        pflat[i] = orig
-        flat[i] = (up - down) / (2.0 * FD_STEP)
-    return grad
+# finite-difference comparison
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -34,6 +34,30 @@ def assert_stacked_call_equals_separate_calls(rng, call, x, param):
         assert_bitwise_equal(out[p], expect[p])
 
 
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function at step
+    ``ops.FD_STEP``, coordinate by coordinate.
+
+    Independent of every analytic backward in the package; the reference
+    they are checked against. ``check`` takes the same differences of
+    stacked probes in one forward (``cli._gradient_self_test``).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = grad.reshape(-1)
+    probe = x.copy()
+    pflat = probe.reshape(-1)
+    for i in range(pflat.size):
+        orig = pflat[i]
+        pflat[i] = orig + ops.FD_STEP
+        up = float(f(probe))
+        pflat[i] = orig - ops.FD_STEP
+        down = float(f(probe))
+        pflat[i] = orig
+        flat[i] = (up - down) / (2.0 * ops.FD_STEP)
+    return grad
+
+
 def relu_margin(stem_cache) -> float:
     """Smallest |pre-relu activation| in a cached stem forward pass.
 
@@ -647,7 +671,7 @@ def full_forward_gradient_self_test(variant: str) -> float:
             return loss(params)
 
         try:
-            fd = ops.fd_gradient(loss_at_picks, original)
+            fd = fd_gradient(loss_at_picks, original)
         finally:
             flat[picks] = original
         analytic = grads.param_grads[key].reshape(-1)[picks]

@@ -253,6 +253,89 @@ class TestExitCodes:
         assert "larger batch" not in err and "per sample" not in err
 
 
+# one valid argv per command, and the typed flag each command with one gets a bad value for
+VALID_ARGVS = {
+    "embed": ["embed", "a.ppm", "b.ppm", "--stem", "conv", "--seed", "3", "--out", "e.emb"],
+    "score": ["score", "a.emb", "b.emb", "--out", "s.json"],
+    "filter": ["filter", "s.json", "--ratio", "0.5"],
+    "select": ["select", "--k", "4", "--n-per-domain", "8", "--hue", "0.1"],
+    "cka": ["cka", "a.ppm", "--kinds", "flip,scale", "--seed", "2"],
+    "augment": ["augment", "a.ppm", "--kind", "flip", "--out", "b.ppm"],
+    "hdh": ["hdh", "a.emb", "b.emb", "--max-thresholds", "4"],
+    "bound": ["bound", "--d-hdh", "0.1", "--f-hat-t", "0.2", "--f-t-star", "0.1",
+              "--f-s-star", "0.1", "--vc-dim", "3", "--n", "100", "--delta", "0.05"],
+    "synth": ["synth", "--seed", "2", "--out", "d"],
+    "check": ["check", "--out", "c.json"],
+}
+TYPED_FLAGS = {"embed": "--seed", "filter": "--ratio", "select": "--k", "cka": "--seed",
+               "augment": "--magnitude", "hdh": "--max-thresholds", "bound": "--n",
+               "synth": "--height"}
+ALL_COMMANDS = "{embed,score,filter,select,cka,augment,hdh,bound,synth,check}"
+
+
+def parser_argvs():
+    for command, valid in VALID_ARGVS.items():
+        yield from ([command, "-h"], [command], valid, [*valid, "--bogus"])
+        if command in TYPED_FLAGS:
+            yield [*valid, TYPED_FLAGS[command], "x"]
+    yield from ([], ["--help"], ["bogus"])
+
+
+def parse_outcome(capsys, parse):
+    """Exit code, stdout and stderr of ``parse()``; the code of a parse
+    that succeeds is what its command's handler returns."""
+    try:
+        args = parse()
+        code = args if isinstance(args, int) else args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+class TestParser:
+    """``main`` builds only the named command's subparser; what argparse
+    prints and parses must be what the parser of all ten commands gives."""
+
+    @pytest.mark.parametrize("argv", list(parser_argvs()), ids=lambda a: " ".join(a) or "none")
+    def test_main_parses_as_the_full_parser(self, monkeypatch, capsys, argv):
+        parsed = []
+        for name, (help_text, add_flags, _) in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                (help_text, add_flags, lambda args: parsed.append(vars(args)) or 0))
+        expected = parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert parse_outcome(capsys, lambda: cli.main(argv)) == expected
+        assert parsed[:1] == parsed[1:]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["score", "a", "b", "--bogus"]],
+                             ids=lambda a: " ".join(a) or "none")
+    def test_usage_lists_every_command(self, capsys, argv):
+        run(*argv)
+        assert ALL_COMMANDS in "".join(capsys.readouterr())
+
+    def test_full_parser_names_the_command_argument(self, capsys):
+        """argparse's own metavar: a fixed one would rename it in these messages."""
+        assert run() == 1
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: command\n")
+        assert run("bogus") == 1
+        assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,parsers", [
+        (["score", "a", "b", "--bogus"], 2), (["check", "-h"], 2), (["bogus"], 11), ([], 11),
+    ])
+    def test_main_builds_only_the_named_command(self, monkeypatch, argv, parsers):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        run(*argv)
+        assert len(built) == parsers
+
+
 class TestCorpusLoading:
     """embed and cka read every image before they compare shapes: a shape
     mismatch is a usage error naming every distinct shape, and a malformed

@@ -6,8 +6,8 @@ import pytest
 from cfs_curate import encoder, ops, pipeline, stems
 from cfs_curate.errors import ConfigError, DimensionError
 from conftest import (add_at_edge_pad_backward, assert_stacked_call_equals_separate_calls,
-                      batch_of_one_loop, einsum_conv2d, long_form_normalize_backward,
-                      long_form_normalize_cached)
+                      batch_of_one_loop, einsum_conv2d, fd_gradient,
+                      long_form_normalize_backward, long_form_normalize_cached)
 
 RNG_SEED = 42
 
@@ -285,7 +285,7 @@ class TestGradients:
 
         _, cache = encoder.encoder_forward_cached(imgs, cfg, params)
         pair = encoder.encoder_backward(w, cache, params)
-        fd = ops.fd_gradient(loss, imgs)
+        fd = fd_gradient(loss, imgs)
         assert ops.max_relative_error(pair.input_grad, fd) < 1e-4
 
     def test_all_parameter_gradients_sampled(self):

@@ -6,6 +6,7 @@ import re
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cfs_curate import formats
 from cfs_curate.embeddings import EmbeddingSet
 from cfs_curate.errors import FormatError
 
-from conftest import loop_ppm_tokens
+from conftest import assert_bitwise_equal, loop_ppm_tokens
 
 
 def sample_set(seed=0, n=5, d=3):
@@ -226,6 +227,31 @@ class TestPpm:
         path.write_bytes(b"P6 1 1 255\n" + b"\x00" * 4)
         with pytest.raises(FormatError, match="payload is 4 bytes, expected 3"):
             formats.read_image_ppm(path)
+
+    def test_every_byte_value_reads_as_float64_over_255(self, tmp_path):
+        payload = bytes(range(256)) * 3
+        path = tmp_path / "v.ppm"
+        path.write_bytes(b"P6 16 16 255\n" + payload)
+        expected = np.frombuffer(payload, np.uint8).astype(np.float64) / 255.0
+        assert_bitwise_equal(formats.read_image_ppm(path), expected.reshape(16, 16, 3))
+
+    @pytest.mark.parametrize("spelling", ["d/./x.ppm", "d//x.ppm"])
+    @pytest.mark.parametrize("content,message", [
+        (b"P6 2 1 255\n" + b"\x00" * 5, "{}: payload is 5 bytes, expected 6"),
+        (b"P6 2 1", "{}: truncated header"),
+        (None, "cannot read image from {0}: [Errno 2] No such file or directory: '{0}'"),
+    ], ids=["short_payload", "truncated_header", "missing"])
+    def test_message_names_the_path_as_pathlib_spells_it(self, tmp_path, spelling, content,
+                                                         message):
+        """The path is parsed only to format a message; the message still
+        names ``str(Path(path))``, also in the OS error's own text."""
+        (tmp_path / "d").mkdir()
+        if content is not None:
+            (tmp_path / "d" / "x.ppm").write_bytes(content)
+        raw = f"{tmp_path}/{spelling}"
+        with pytest.raises(FormatError) as info:
+            formats.read_image_ppm(raw)
+        assert str(info.value) == message.format(Path(raw))
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"

@@ -17,8 +17,9 @@ from cfs_curate import ops
 from cfs_curate.errors import DimensionError, RangeError
 
 from conftest import (add_at_conv2d_backward, assert_bitwise_equal,
-                      assert_stacked_call_equals_separate_calls, long_form_normalize_backward,
-                      long_form_normalize_cached, sliding_window_im2col)
+                      assert_stacked_call_equals_separate_calls, fd_gradient,
+                      long_form_normalize_backward, long_form_normalize_cached,
+                      sliding_window_im2col)
 
 RNG_SEED = 42
 
@@ -95,8 +96,8 @@ class TestConv2d:
 
         dxp, dk = ops.conv2d_backward(w, xp, k, stride=2)
         dx = dxp[:, :, 1:-1, 1:-1]
-        assert ops.max_relative_error(dx, ops.fd_gradient(loss_x, x)) < 1e-5
-        assert ops.max_relative_error(dk, ops.fd_gradient(loss_k, k)) < 1e-5
+        assert ops.max_relative_error(dx, fd_gradient(loss_x, x)) < 1e-5
+        assert ops.max_relative_error(dk, fd_gradient(loss_k, k)) < 1e-5
 
     def test_backward_bitwise_equal_to_add_at_scatter(self):
         """The slice-add input gradient adds each window's taps in the same
@@ -262,9 +263,9 @@ class TestNormalize:
         def loss(x, gamma, beta):
             return float(np.sum(ops.normalize_cached(x, mode, gamma, beta)[0] * w))
 
-        fx = ops.fd_gradient(lambda m: loss(m, gamma, beta), x)
-        fg = ops.fd_gradient(lambda m: loss(x, m, beta), gamma)
-        fb = ops.fd_gradient(lambda m: loss(x, gamma, m), beta)
+        fx = fd_gradient(lambda m: loss(m, gamma, beta), x)
+        fg = fd_gradient(lambda m: loss(x, m, beta), gamma)
+        fb = fd_gradient(lambda m: loss(x, gamma, m), beta)
         assert ops.max_relative_error(dx, fx) < 1e-5
         assert ops.max_relative_error(dg, fg) < 1e-5
         assert ops.max_relative_error(db, fb) < 1e-5
@@ -288,8 +289,8 @@ class TestNormalize:
         def loss(x, gamma, beta):
             return float(np.sum(ops.normalize_cached(x, mode, gamma, beta)[0] * w))
 
-        assert ops.max_relative_error(dg, ops.fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
-        assert ops.max_relative_error(db, ops.fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
+        assert ops.max_relative_error(dg, fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
+        assert ops.max_relative_error(db, fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
 
     def test_peak_is_two_arrays_of_the_input(self):
         """The output goes into the buffer of the squares the variance
@@ -423,7 +424,7 @@ class TestActivations:
         x = rng.normal(size=(4, 7))
         w = rng.normal(size=(4, 7))
         dx = ops.activation_backward(w, x, "gelu")
-        fd = ops.fd_gradient(lambda m: float(np.sum(ops.activation(m, "gelu") * w)), x)
+        fd = fd_gradient(lambda m: float(np.sum(ops.activation(m, "gelu") * w)), x)
         assert ops.max_relative_error(dx, fd) < 1e-5
 
     def test_gelu_within_bound_of_pow_cube(self):
@@ -455,7 +456,7 @@ class TestActivations:
         x[np.abs(x) < 0.05] = 0.5  # keep fd away from the kink
         w = rng.normal(size=(4, 7))
         dx = ops.activation_backward(w, x, "relu")
-        fd = ops.fd_gradient(lambda m: float(np.sum(ops.activation(m, "relu") * w)), x)
+        fd = fd_gradient(lambda m: float(np.sum(ops.activation(m, "relu") * w)), x)
         assert ops.max_relative_error(dx, fd) < 1e-5
 
 
@@ -484,7 +485,7 @@ class TestSoftmax:
         w = rng.normal(size=(3, 6))
         y = ops.softmax(x)
         dx = ops.softmax_backward(w, y)
-        fd = ops.fd_gradient(lambda m: float(np.sum(ops.softmax(m) * w)), x)
+        fd = fd_gradient(lambda m: float(np.sum(ops.softmax(m) * w)), x)
         assert ops.max_relative_error(dx, fd) < 1e-5
 
 
@@ -493,13 +494,13 @@ class TestFdHelpers:
         """fd of sum(x^2) is 2x to second order."""
         rng = np.random.default_rng(RNG_SEED)
         x = rng.normal(size=(3, 4))
-        fd = ops.fd_gradient(lambda m: float(np.sum(m * m)), x)
+        fd = fd_gradient(lambda m: float(np.sum(m * m)), x)
         np.testing.assert_allclose(fd, 2 * x, atol=1e-7)
 
     def test_fd_gradient_leaves_input_unchanged(self):
         x = np.ones((2, 2))
         before = x.copy()
-        ops.fd_gradient(lambda m: float(m.sum()), x)
+        fd_gradient(lambda m: float(m.sum()), x)
         np.testing.assert_array_equal(x, before)
 
     def test_max_relative_error_floor(self):

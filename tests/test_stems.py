@@ -7,7 +7,7 @@ from cfs_curate import ops, stems
 from cfs_curate.errors import ConfigError, DimensionError
 
 from conftest import (add_at_edge_pad_backward, assert_bitwise_equal,
-                      assert_stacked_call_equals_separate_calls, kink_safe_images,
+                      assert_stacked_call_equals_separate_calls, fd_gradient, kink_safe_images,
                       np_pad_edge_pad, sliding_window_im2col)
 
 RNG_SEED = 42
@@ -335,7 +335,7 @@ class TestGradients:
 
         _, cache = stems.stem_forward_cached(imgs, cfg, params)
         pair = stems.stem_backward(w, cache, params)
-        fd = ops.fd_gradient(loss, imgs)
+        fd = fd_gradient(loss, imgs)
         assert ops.max_relative_error(pair.input_grad, fd) < 1e-4
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
@@ -455,7 +455,7 @@ class TestOneChannelGroups:
                 return loss()
 
             try:
-                fd = ops.fd_gradient(loss_at_picks, original)
+                fd = fd_gradient(loss_at_picks, original)
             finally:
                 flat[picks] = original
             worst = max(worst, ops.max_relative_error(grad.reshape(-1)[picks], fd))

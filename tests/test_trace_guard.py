@@ -8,9 +8,12 @@ arguments and results (``ops.conv2d``'s a 4-D output), so ``check``, whose
 probes run stacked forwards, must run under the tracer without a span
 error. ``embed`` encodes each chunk as (n, 1, 3, H, W), one batch per
 image; ``encoder.encoder_forward``'s span counts ``len(images)``, so its
-image count must still be the number of images embedded. Both are
-guards, not regression tests: they also pass where ``embed`` encoded
-(n, 3, H, W) chunks with per-sample statistics.
+image count must still be the number of images embedded. ``embed`` reads
+each image with one ``formats.read_image_ppm`` call, so that span's call
+count, which the benchmark reports, must be the number of images read.
+These are guards, not regression tests: they also pass where ``embed``
+encoded (n, 3, H, W) chunks with per-sample statistics, and where
+``read_image_ppm`` read through ``Path.read_bytes``.
 """
 
 import importlib.util
@@ -74,4 +77,5 @@ def test_embed_runs_under_the_tracer(tmp_path, variant):
         problems = recorder.uninstall(cfs_curate)
     assert problems == []
     assert totals["encoder.encoder_forward"]["images"] == len(sources) == 6
+    assert totals["formats.read_image_ppm"]["calls"] == 6
     assert {name: row["errors"] for name, row in totals.items() if row["errors"]} == {}

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import cfs, divergence, ops, selection, stems
 from .embeddings import check_unique_ids
-from .encoder import (
-    encoder_backward,
-    encoder_forward_cached,
-    forward_from_tokens,
-    init_params,
-    stem_subparams,
-)
+from .encoder import encoder_backward, encoder_forward, encoder_forward_cached, init_params
 from .errors import DimensionError, FormatError, RangeError
 from .formats import (
     Columns,
@@ -49,14 +43,14 @@ from .invariance import (
 from .pipeline import compare_on_synth_corpus, default_vit_config, embed_images
 from .synth import ShiftSpec, synth_corpus
 
-# fixed probe for `check`: seed verified to keep every pre-relu activation
-# of every stem variant well away from zero, where finite differences
-# straddle the kink and stop approximating the analytic gradient
+# seed of `check`'s model, images, loss weight and probe directions, verified
+# to keep every pre-relu activation of every stem variant well away from
+# zero, where finite differences straddle the kink and stop approximating
+# the analytic gradient
 CHECK_PROBE_SEED = 5
 CHECK_IDENTITY_PAIRS = 10_000
 CHECK_EQUIVALENCE_PAIRS = 1_000
 CHECK_EPSILONS = np.arange(0.1, 0.95, 0.1)
-CHECK_COORDS_PER_TENSOR = 3
 CHECK_GRAD_TOLERANCE = 1e-4
 
 
@@ -293,91 +287,57 @@ def _identity_self_test(rng) -> dict:
     }
 
 
-def _probe_stage(key: str, depth: int) -> int:
-    """First forward stage that parameter ``key`` feeds, for a stem ladder
-    of ``depth`` layers: ladder layer i for ``stem.conv{i}_*`` and
-    ``stem.norm{i}_*``, ``depth`` (the projection) for ``stem.proj_*``,
-    ``depth + 1`` (the encoder from the tokens) for every other key."""
-    name = key.removeprefix("stem.")
-    if name == key:
-        return depth + 1
-    if name.startswith("proj_"):
-        return depth
-    return int(name[len("conv"):name.index("_")])
+def _gradient_self_test(variant: str) -> dict[str, float]:
+    """Relative error of each parameter tensor's analytic gradient g, by
+    key in sorted order, along one random unit direction v per tensor:
+    ``|<g, v> - (L(+) - L(-)) / (2 * FD_STEP)| / max(|g|, FD_ERROR_FLOOR)``,
+    where L(+-) is the loss with the tensor at ``original +- FD_STEP * v``.
+    |g| bounds |<g, v>| for a unit v, so a direction nearly orthogonal to
+    g cannot inflate the error of a correct gradient.
 
-
-def _resumable_loss(images, weight, config, params):
-    """``loss(key, stacked)``: ``sum(features * weight)`` of ``images`` for
-    each copy of ``params[key]`` in ``stacked``, shape ``(P, *params[key].shape)``,
-    every other tensor as ``params`` holds it. One forward per call, from
-    the stage :func:`_probe_stage` gives for ``key``, on that stage's input
-    broadcast to (P, B, ...) without a copy; returns the P losses.
-
-    The input of every stage is computed here once, at the values
-    ``params`` holds. Row p runs the operations of a full forward with
-    copy p on bitwise-equal inputs (the leading-axis convention of
-    :mod:`ops`), so it has that full forward's bits.
-    """
-    stem_config, stem_params = config.stem, stem_subparams(params)
-    depth = len(stem_config.channel_ladder)
-    inputs = [images]
-    for i in range(depth):
-        inputs.append(stems.ladder_layer(inputs[i], i, stem_config, stem_params)[0])
-    inputs.append(stems.project_tokens(inputs[depth], stem_config, stem_params))
-
-    def loss(key, stacked):
-        probe_params = {**params, key: stacked}
-        stem_probe = stem_subparams(probe_params)
-        stage = _probe_stage(key, depth)
-        x = np.broadcast_to(inputs[stage], (len(stacked), *inputs[stage].shape))
-        for i in range(stage, depth):
-            x = stems.ladder_layer(x, i, stem_config, stem_probe)[0]
-        if stage <= depth:
-            x = stems.project_tokens(x, stem_config, stem_probe)
-        return np.sum(forward_from_tokens(x, config, probe_params)[0] * weight, axis=(-2, -1))
-
-    return loss
-
-
-def _gradient_self_test(variant: str) -> float:
-    """Worst relative error of the analytic parameter gradients against
-    central differences, on CHECK_COORDS_PER_TENSOR coordinates of each
-    tensor. The 2 * picks perturbed copies of a tensor, each ``original
-    +- FD_STEP`` at one pick, go through one forward (:func:`_resumable_loss`),
-    and each difference is ``(up - down) / (2 * FD_STEP)``, the IEEE
-    operations of a coordinate-by-coordinate central difference.
-    ``params`` is never written."""
+    All 2T probes of the T tensors go through one forward: every
+    parameter is stacked as 2T copies, and tensor j's copies 2j and
+    2j + 1 hold its two probes. Row p has the bits of a full forward with
+    copy p (the leading-axis rule of :func:`ops.per_probe`). ``params`` is
+    never written."""
     rng = np.random.default_rng(CHECK_PROBE_SEED)
     config = default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
     params = init_params(CHECK_PROBE_SEED, config)
     images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
     weight = rng.normal(size=(2, config.embed_dim))
 
-    features, cache = encoder_forward_cached(images, config, params)
-    grads = encoder_backward(weight, cache, params)
-    loss = _resumable_loss(images, weight, config, params)
+    _, cache = encoder_forward_cached(images, config, params)
+    grads = encoder_backward(weight, cache, params).param_grads
 
-    worst = 0.0
-    for key in sorted(params):
-        tensor = params[key]
-        picks = rng.choice(tensor.size, size=min(CHECK_COORDS_PER_TENSOR, tensor.size),
-                           replace=False)
-        n = len(picks)
-        original = tensor.reshape(-1)[picks]
-        probes = np.repeat(tensor.reshape(1, -1), 2 * n, axis=0)
-        probes[np.arange(n), picks] = original + ops.FD_STEP
-        probes[np.arange(n, 2 * n), picks] = original - ops.FD_STEP
-        losses = loss(key, probes.reshape(2 * n, *tensor.shape))
-        fd = (losses[:n] - losses[n:]) / (2.0 * ops.FD_STEP)
-        analytic = grads.param_grads[key].reshape(-1)[picks]
-        worst = max(worst, ops.max_relative_error(analytic, fd))
-    return worst
+    keys = sorted(params)
+    n = 2 * len(keys)
+    directions, probes = [], {}
+    for j, key in enumerate(keys):
+        v = rng.standard_normal(params[key].shape)
+        v /= np.linalg.norm(v)
+        directions.append(v)
+        probes[key] = np.repeat(params[key][None], n, axis=0)
+        probes[key][2 * j] += ops.FD_STEP * v
+        probes[key][2 * j + 1] -= ops.FD_STEP * v
+    features = encoder_forward(np.broadcast_to(images, (n, *images.shape)), config, probes)
+    losses = np.sum(features * weight, axis=(-2, -1))
+
+    errors = {}
+    for j, (key, v) in enumerate(zip(keys, directions)):
+        g = grads[key]
+        fd = (losses[2 * j] - losses[2 * j + 1]) / (2.0 * ops.FD_STEP)
+        errors[key] = float(abs(np.sum(g * v) - fd)
+                            / max(np.linalg.norm(g), ops.FD_ERROR_FLOOR))
+    return errors
 
 
 def _cmd_check(args) -> int:
     rng = np.random.default_rng(CHECK_PROBE_SEED)
     identity = _identity_self_test(rng)
-    gradients = {variant: _gradient_self_test(variant) for variant in stems.VARIANTS}
+    errors = {variant: _gradient_self_test(variant) for variant in stems.VARIANTS}
+    # max keeps the first of equal errors, which is the first key in sorted order
+    worst_tensor = {variant: max(e, key=e.get) for variant, e in errors.items()}
+    gradients = {variant: errors[variant][key] for variant, key in worst_tensor.items()}
     passed = (
         identity["max_residual"] <= 1e-10
         and identity["equivalence_violations"] == 0
@@ -388,6 +348,7 @@ def _cmd_check(args) -> int:
         "identity": identity,
         "gradient_max_relative_error": gradients,
         "gradient_tolerance": CHECK_GRAD_TOLERANCE,
+        "gradient_worst_tensor": worst_tensor,
         "passed": passed,
     }
     _emit_report(args, "check", _report_config(args, probe_seed=CHECK_PROBE_SEED), results)

@@ -199,8 +199,7 @@ def forward_from_tokens(tokens, config: ViTConfig, params):
     blocks and the final layer-norm on a (B, T, D) token sequence.
 
     Returns ``(features, cache)``, the cache holding what
-    :func:`encoder_backward` reads of this part. A caller that holds the
-    stem's tokens can resume here and get the bits of a full forward.
+    :func:`encoder_backward` reads of this part.
 
     ``tokens`` may carry batch axes before B, and any parameter probe axes
     to match (:func:`ops.per_probe`): features are then (..., B, D), each

@@ -4,8 +4,9 @@ Every forward here is a pure function of float64 arrays. Each one has a
 paired ``*_backward`` that maps an upstream gradient to gradients with
 respect to the inputs, derived by hand and validated against central
 differences at step ``FD_STEP`` (the tests' coordinate-loop oracle, and
-``check``'s probes). There is no graph or tape; composite models chain
-these transforms explicitly.
+``check``'s probes along one random direction per parameter tensor).
+There is no graph or tape; composite models chain these transforms
+explicitly.
 
 Conventions: images and feature maps are ``(B, C, H, W)``, convolution is
 unpadded cross-correlation (the stems pad by edge replication themselves,
@@ -17,10 +18,10 @@ Leading axes are batch axes: normalization addresses its axes from the
 end, so a ``(P, B, C, H, W)`` input is P independent batches, and slice
 ``p`` of the output is bitwise what the ``(B, C, H, W)`` call on slice
 ``p`` gives. A parameter may be stacked the same way, one copy per
-leading index (:func:`per_probe` states the rule); that is how a
-finite-difference check evaluates many perturbed copies of one tensor in
-one forward. :func:`conv2d` stays a 4-D op: it is one GEMM per sample,
-so callers fold leading axes into ``B`` (see :func:`stems.ladder_layer`).
+leading index (:func:`per_probe` states the rule); that is how ``check``
+evaluates the perturbed copies of every parameter tensor in one forward.
+:func:`conv2d` stays a 4-D op: it is one GEMM per sample, so callers
+fold leading axes into ``B`` (see :func:`stems.ladder_layer`).
 It has no bias: a caller that needs one adds it to the output, as
 :func:`encoder._linear` adds its bias (see :func:`stems.project_tokens`).
 The backward functions take the unstacked 4-D form only.
@@ -38,9 +39,9 @@ GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
 
 NORM_MODES = ("batch", "instance", "layer")
-# central-difference step of the gradient checks and the denominator floor of
-# max_relative_error, so coordinates where both gradients vanish (dead
-# relu paths) do not divide by zero
+# central-difference step of the gradient checks, and the floor of their
+# relative errors' denominators, so a gradient that vanishes (dead relu
+# paths) does not divide by zero
 FD_STEP = 1e-4
 FD_ERROR_FLOOR = 1e-6
 
@@ -272,18 +273,3 @@ def softmax_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of softmax given its output ``y``."""
     inner = (grad_out * y).sum(axis=-1, keepdims=True)
     return y * (grad_out - inner)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference comparison
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst-case elementwise relative discrepancy between two gradients,
-    with the denominator floored at ``FD_ERROR_FLOOR``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), FD_ERROR_FLOOR)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

@@ -270,8 +270,7 @@ def stem_forward_cached(images, config: StemConfig, params):
     """Run any stem variant, keeping what the backward pass needs.
 
     The forward is :func:`ladder_layer` for each ladder layer in turn,
-    then :func:`project_tokens`; a caller that holds the input of one of
-    these stages can resume there and get the same bits.
+    then :func:`project_tokens`.
 
     ``images`` is (B, 3, H, W), or carries batch axes before B: each
     leading index is then its own batch, with its own batch-norm

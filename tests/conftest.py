@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from cfs_curate import cli, encoder, formats, ops, pipeline, stems, synth
-from cfs_curate.errors import ConfigError, FormatError, RangeError
+from cfs_curate.errors import ConfigError, DimensionError, FormatError, RangeError
 from cfs_curate.invariance import LUMA_WEIGHTS, AugmentationSpec
 from cfs_curate.validation import check_image
 from cfs_curate.ops import GradPair
@@ -39,8 +39,8 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     ``ops.FD_STEP``, coordinate by coordinate.
 
     Independent of every analytic backward in the package; the reference
-    they are checked against. ``check`` takes the same differences of
-    stacked probes in one forward (``cli._gradient_self_test``).
+    they are checked against. ``check`` takes central differences along
+    one random direction per tensor instead (``cli._gradient_self_test``).
     """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -56,6 +56,17 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
         pflat[i] = orig
         flat[i] = (up - down) / (2.0 * ops.FD_STEP)
     return grad
+
+
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst-case elementwise relative discrepancy between two gradients,
+    with the denominator floored at ``ops.FD_ERROR_FLOOR``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), ops.FD_ERROR_FLOOR)
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
 def relu_margin(stem_cache) -> float:
@@ -643,37 +654,30 @@ def hh_hdh_empirical(u1, u2, hypothesis_class) -> float:
     return float(np.abs(gaps, out=gaps).max())
 
 
-def full_forward_gradient_self_test(variant: str) -> float:
-    """cli._gradient_self_test as computed before the probes resumed at
-    the perturbed stage: one full encoder_forward per probe. Reference
-    for bitwise equality."""
+def full_forward_gradient_self_test(variant: str) -> dict[str, float]:
+    """cli._gradient_self_test with one unstacked full encoder_forward per
+    probe, in place of one forward of every probe stacked on a leading
+    axis. Reference for bitwise equality."""
     rng = np.random.default_rng(cli.CHECK_PROBE_SEED)
     config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1, patch_stride=8)
     params = encoder.init_params(cli.CHECK_PROBE_SEED, config)
     images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
     weight = rng.normal(size=(2, config.embed_dim))
 
-    def loss(p):
-        return float(np.sum(encoder.encoder_forward(images, config, p) * weight))
+    def loss(key, value):
+        return np.sum(encoder.encoder_forward(images, config, {**params, key: value}) * weight)
 
-    features, cache = encoder.encoder_forward_cached(images, config, params)
-    grads = encoder.encoder_backward(weight, cache, params)
+    _, cache = encoder.encoder_forward_cached(images, config, params)
+    grads = encoder.encoder_backward(weight, cache, params).param_grads
 
-    worst = 0.0
-    for key in sorted(params):
-        flat = params[key].reshape(-1)
-        picks = rng.choice(flat.size, size=min(cli.CHECK_COORDS_PER_TENSOR, flat.size),
-                           replace=False)
-        original = flat[picks].copy()
-
-        def loss_at_picks(values):
-            flat[picks] = values
-            return loss(params)
-
-        try:
-            fd = fd_gradient(loss_at_picks, original)
-        finally:
-            flat[picks] = original
-        analytic = grads.param_grads[key].reshape(-1)[picks]
-        worst = max(worst, ops.max_relative_error(analytic, fd))
-    return worst
+    keys = sorted(params)
+    directions = [rng.standard_normal(params[key].shape) for key in keys]
+    errors = {}
+    for key, v in zip(keys, directions):
+        v /= np.linalg.norm(v)
+        up = loss(key, params[key] + ops.FD_STEP * v)
+        down = loss(key, params[key] - ops.FD_STEP * v)
+        g = grads[key]
+        errors[key] = float(abs(np.sum(g * v) - (up - down) / (2.0 * ops.FD_STEP))
+                            / max(np.linalg.norm(g), ops.FD_ERROR_FLOOR))
+    return errors

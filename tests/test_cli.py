@@ -533,86 +533,77 @@ class TestPipeline:
         assert 0 < doc["results"]["identity"]["within_threshold"] < 9000
         for value in doc["results"]["gradient_max_relative_error"].values():
             assert value <= 1e-4
+        assert doc["results"]["gradient_worst_tensor"] == {
+            "conv": "stem.conv0_kernel", "ics": "stem.conv1_kernel", "patchify": "cls_token"}
 
 
 class TestCheckProbes:
-    """``check`` evaluates the finite-difference probes of each parameter
-    tensor as copies stacked on a leading axis, in one forward resumed at
-    the first stage the tensor feeds; the numbers are those of full
-    forwards."""
-
-    @pytest.mark.parametrize("variant", stems.VARIANTS)
-    def test_resumed_loss_is_the_full_forward_loss(self, variant):
-        """Two stacked copies per tensor: the tensor as it is, and +0.37 at
-        the coordinate of largest analytic gradient. Each row of the
-        resumed loss has the bits of a full forward with its copy, and the
-        rows differ, so a key mapped to a stage after the one it feeds
-        fails here."""
-        rng = np.random.default_rng(11)
-        config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
-                                             patch_stride=8)
-        params = encoder.init_params(11, config)
-        images = rng.uniform(0.05, 0.95, size=(2, 3, 8, 8))
-        weight = rng.normal(size=(2, config.embed_dim))
-
-        def full_loss(p):
-            return float(np.sum(encoder.encoder_forward(images, config, p) * weight))
-
-        _, cache = encoder.encoder_forward_cached(images, config, params)
-        grads = encoder.encoder_backward(weight, cache, params).param_grads
-        loss = cli._resumable_loss(images, weight, config, params)
-        for key in sorted(params):
-            perturbed = params[key].copy()
-            perturbed.reshape(-1)[np.abs(grads[key]).argmax()] += 0.37
-            rows = loss(key, np.stack([params[key], perturbed]))
-            full = [full_loss({**params, key: value}) for value in (params[key], perturbed)]
-            assert rows.shape == (2,)
-            assert rows.tolist() == full, key
-            assert rows[0] != rows[1], key
+    """``check`` tests each parameter tensor along one random unit
+    direction. The 2T probes of a stem's T tensors are copies of every
+    parameter stacked on a leading axis and go through one forward; the
+    numbers are those of one full forward per probe."""
 
     def test_one_forward_per_tensor(self, tmp_path, monkeypatch):
-        """``forward_from_tokens`` runs once per parameter tensor (72 over
-        the three variants) plus once in each variant's cached forward for
-        the analytic gradients: 75 calls, not one per probe."""
+        """One ``encoder_forward`` per stem carries the probes of all its
+        tensors, two per tensor on a leading axis (36 / 54 / 54), besides
+        the stem's one cached forward for the analytic gradients. The stem
+        runs in no other forward."""
         calls = []
-        forward_from_tokens = encoder.forward_from_tokens
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return forward_from_tokens(*args, **kwargs)
+        def record(name):
+            function = getattr(cli, name)
 
-        monkeypatch.setattr(encoder, "forward_from_tokens", counted)
-        monkeypatch.setattr(cli, "forward_from_tokens", counted)
+            def recorded(images, *args):
+                calls.append((name, images.shape))
+                return function(images, *args)
+
+            monkeypatch.setattr(cli, name, recorded)
+
+        record("encoder_forward_cached")
+        record("encoder_forward")
+        stem_shapes = []
+        stem_forward_cached = stems.stem_forward_cached
+
+        def counted(images, *args):
+            stem_shapes.append(images.shape)
+            return stem_forward_cached(images, *args)
+
+        monkeypatch.setattr(stems, "stem_forward_cached", counted)
         assert run("check", "--out", str(tmp_path / "check.json")) == 0
-        tensors = sum(len(encoder.init_params(0, pipeline.default_vit_config(
-            v, (8, 8), embed_dim=16, depth=1, patch_stride=8))) for v in stems.VARIANTS)
-        assert tensors == 72
-        assert len(calls) == tensors + len(stems.VARIANTS)
+        expected = []
+        for probes in (36, 54, 54):
+            expected += [("encoder_forward_cached", (2, 3, 8, 8)),
+                         ("encoder_forward", (probes, 2, 3, 8, 8))]
+        assert calls == expected
+        assert stem_shapes == [shape for _, shape in expected]
 
     def test_probed_tensors_per_variant(self, tmp_path, monkeypatch):
         """``check`` probes each parameter tensor once: 18 for patchify and
         27 for conv and ics, whose ladder convolutions have no bias to
-        probe."""
-        probed = {}
-        resumable_loss = cli._resumable_loss
+        probe. Tensor j, in sorted key order, differs from the parameter in
+        rows 2j and 2j + 1 of its stack only."""
+        stacks = {}
+        encoder_forward = cli.encoder_forward
 
-        def recording(images, weight, config, params):
-            loss = resumable_loss(images, weight, config, params)
-            keys = probed.setdefault(config.stem.variant, [])
+        def recording(images, config, params):
+            stacks[config.stem.variant] = params
+            return encoder_forward(images, config, params)
 
-            def recorded(key, stacked):
-                keys.append(key)
-                return loss(key, stacked)
-
-            return recorded
-
-        monkeypatch.setattr(cli, "_resumable_loss", recording)
+        monkeypatch.setattr(cli, "encoder_forward", recording)
         assert run("check", "--out", str(tmp_path / "check.json")) == 0
-        assert {v: len(keys) for v, keys in probed.items()} == {
+        assert {v: len(stacked) for v, stacked in stacks.items()} == {
             "patchify": 18, "conv": 27, "ics": 27}
-        for keys in probed.values():
-            assert keys == sorted(set(keys))
-            assert not [k for k in keys if re.fullmatch(r"stem\.conv\d+_bias", k)]
+        for variant, stacked in stacks.items():
+            config = pipeline.default_vit_config(variant, (8, 8), embed_dim=16, depth=1,
+                                                 patch_stride=8)
+            params = encoder.init_params(cli.CHECK_PROBE_SEED, config)
+            assert sorted(stacked) == sorted(params)
+            assert not [k for k in stacked if re.fullmatch(r"stem\.conv\d+_bias", k)]
+            for j, key in enumerate(sorted(params)):
+                assert stacked[key].shape == (2 * len(params), *params[key].shape)
+                rows = [p for p, copy in enumerate(stacked[key])
+                        if copy.tobytes() != params[key].tobytes()]
+                assert rows == [2 * j, 2 * j + 1], (variant, key)
 
     # SHA-256 prefixes over each key and its bytes in sorted key order,
     # computed when init_stem_params still made ladder convolution biases
@@ -660,33 +651,57 @@ class TestCheckProbes:
         for variant in stems.VARIANTS:
             assert cli._gradient_self_test(variant) == full_forward_gradient_self_test(variant)
 
-    def test_stage_of_each_key(self):
-        assert cli._probe_stage("stem.conv0_kernel", 3) == 0
-        assert cli._probe_stage("stem.norm2_beta", 3) == 2
-        assert cli._probe_stage("stem.conv12_kernel", 13) == 12
-        assert cli._probe_stage("stem.proj_kernel", 3) == 3
-        assert cli._probe_stage("stem.proj_bias", 0) == 0
-        assert cli._probe_stage("cls_token", 3) == 4
-        assert cli._probe_stage("block0.qkv_kernel", 0) == 1
-
-    def test_check_matches_full_forward_oracle(self, tmp_path, monkeypatch):
-        """Every variant's worst gradient error has the oracle's bits, and
-        the whole stem runs once per variant: probes never fall back to
-        full forwards."""
-        variants = []
-        stem_forward_cached = stems.stem_forward_cached
-
-        def counted(images, config, *args, **kwargs):
-            variants.append(config.variant)
-            return stem_forward_cached(images, config, *args, **kwargs)
-
-        monkeypatch.setattr(stems, "stem_forward_cached", counted)
+    def test_check_matches_full_forward_oracle(self, tmp_path):
+        """Each tensor's error has the bits of one full forward per probe,
+        and the report gives each stem's largest error and its tensor."""
+        oracle = {v: full_forward_gradient_self_test(v) for v in stems.VARIANTS}
+        for variant in stems.VARIANTS:
+            assert cli._gradient_self_test(variant) == oracle[variant]
         out = tmp_path / "check.json"
         assert run("check", "--out", str(out)) == 0
-        monkeypatch.undo()
-        assert variants == list(stems.VARIANTS)
-        got = formats.read_report(out)["results"]["gradient_max_relative_error"]
-        assert got == {v: full_forward_gradient_self_test(v) for v in stems.VARIANTS}
+        results = formats.read_report(out)["results"]
+        worst = {v: max(errors, key=errors.get) for v, errors in oracle.items()}
+        assert results["gradient_worst_tensor"] == worst
+        assert results["gradient_max_relative_error"] == {
+            v: oracle[v][key] for v, key in worst.items()}
+
+    def test_worst_tensor_is_the_first_of_equal_errors(self, tmp_path, monkeypatch):
+        errors = {"a": 1e-6, "b": 2e-6, "c": 2e-6}
+        monkeypatch.setattr(cli, "_gradient_self_test", lambda variant: errors)
+        out = tmp_path / "check.json"
+        assert run("check", "--out", str(out)) == 0
+        results = formats.read_report(out)["results"]
+        assert results["gradient_worst_tensor"] == {v: "b" for v in stems.VARIANTS}
+        assert results["gradient_max_relative_error"] == {v: 2e-6 for v in stems.VARIANTS}
+
+    # one tensor per stem whose wrong gradient coordinate the three
+    # coordinates once picked per tensor at CHECK_PROBE_SEED all missed
+    PLANTED = [("patchify", "pos_embed"), ("conv", "stem.conv2_kernel"),
+               ("ics", "block0.qkv_kernel")]
+
+    @pytest.mark.parametrize("variant,key", PLANTED)
+    def test_planted_gradient_error_fails(self, tmp_path, monkeypatch, variant, key):
+        """The analytic gradient of ``key`` with its largest-|g| coordinate
+        scaled by 1.1, on ``variant`` only: ``check`` exits 2, reports
+        failure, and names ``key``."""
+        encoder_backward = cli.encoder_backward
+
+        def planted(grad_features, cache, params):
+            pair = encoder_backward(grad_features, cache, params)
+            if cache[0].stem.variant == variant:
+                g = pair.param_grads[key]
+                # an einsum gradient need not be C-contiguous, where
+                # g.reshape(-1) would be a copy
+                g[np.unravel_index(np.abs(g).argmax(), g.shape)] *= 1.1
+            return pair
+
+        monkeypatch.setattr(cli, "encoder_backward", planted)
+        out = tmp_path / "check.json"
+        assert run("check", "--out", str(out)) == 2
+        results = formats.read_report(out)["results"]
+        assert results["passed"] is False
+        assert results["gradient_max_relative_error"][variant] > cli.CHECK_GRAD_TOLERANCE
+        assert results["gradient_worst_tensor"][variant] == key
 
 
 class TestDeterminism:

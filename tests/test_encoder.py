@@ -5,9 +5,11 @@ import pytest
 
 from cfs_curate import encoder, ops, pipeline, stems
 from cfs_curate.errors import ConfigError, DimensionError
-from conftest import (add_at_edge_pad_backward, assert_stacked_call_equals_separate_calls,
+from conftest import (add_at_edge_pad_backward, assert_bitwise_equal,
+                      assert_stacked_call_equals_separate_calls,
                       batch_of_one_loop, einsum_conv2d, fd_gradient,
-                      long_form_normalize_backward, long_form_normalize_cached)
+                      long_form_normalize_backward, long_form_normalize_cached,
+                      max_relative_error)
 
 RNG_SEED = 42
 
@@ -286,7 +288,7 @@ class TestGradients:
         _, cache = encoder.encoder_forward_cached(imgs, cfg, params)
         pair = encoder.encoder_backward(w, cache, params)
         fd = fd_gradient(loss, imgs)
-        assert ops.max_relative_error(pair.input_grad, fd) < 1e-4
+        assert max_relative_error(pair.input_grad, fd) < 1e-4
 
     def test_all_parameter_gradients_sampled(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -385,7 +387,8 @@ class TestLeadingAxes:
     """forward_from_tokens on (P, B, T, D) tokens, with one parameter
     stacked on P (ops.per_probe) or P distinct token sets: features bitwise
     those of the P separate (B, T, D) calls. encoder_forward on
-    (P, 1, 3, H, W) images: bitwise the P batches of one. The backward
+    (P, 1, 3, H, W) images: bitwise the P batches of one; with every
+    parameter stacked on P: bitwise the P separate calls. The backward
     reads the cache of a 4-D forward only."""
 
     @pytest.mark.parametrize("variant", stems.VARIANTS)
@@ -399,6 +402,21 @@ class TestLeadingAxes:
             return encoder.encoder_forward(images, cfg, params)
 
         assert_stacked_call_equals_separate_calls(rng, call, images, None)
+
+    @pytest.mark.parametrize("variant", stems.VARIANTS)
+    def test_every_parameter_stacked_equals_separate_calls(self, variant):
+        """Every parameter stacked as 3 perturbed copies and the images
+        broadcast, as ``check`` probes: slice p is bitwise the 4-D forward
+        with copy p of every parameter."""
+        cfg = stride16_cfg(variant, (32, 16))
+        rng = np.random.default_rng(RNG_SEED)
+        params = encoder.init_params(5, cfg)
+        images = rng.uniform(0.05, 0.95, size=(2, 3, 32, 16))
+        stacked = {k: v + 0.1 * rng.normal(size=(3, *v.shape)) for k, v in params.items()}
+        out = encoder.encoder_forward(np.broadcast_to(images, (3, *images.shape)), cfg, stacked)
+        for p in range(3):
+            expect = encoder.encoder_forward(images, cfg, {k: v[p] for k, v in stacked.items()})
+            assert_bitwise_equal(out[p], expect)
 
     @pytest.mark.parametrize("through", ["encoder_backward", "stem_backward"])
     @pytest.mark.parametrize("variant", ["patchify", "conv"])

@@ -19,7 +19,7 @@ from cfs_curate.errors import DimensionError, RangeError
 from conftest import (add_at_conv2d_backward, assert_bitwise_equal,
                       assert_stacked_call_equals_separate_calls, fd_gradient,
                       long_form_normalize_backward, long_form_normalize_cached,
-                      sliding_window_im2col)
+                      max_relative_error, sliding_window_im2col)
 
 RNG_SEED = 42
 
@@ -96,8 +96,8 @@ class TestConv2d:
 
         dxp, dk = ops.conv2d_backward(w, xp, k, stride=2)
         dx = dxp[:, :, 1:-1, 1:-1]
-        assert ops.max_relative_error(dx, fd_gradient(loss_x, x)) < 1e-5
-        assert ops.max_relative_error(dk, fd_gradient(loss_k, k)) < 1e-5
+        assert max_relative_error(dx, fd_gradient(loss_x, x)) < 1e-5
+        assert max_relative_error(dk, fd_gradient(loss_k, k)) < 1e-5
 
     def test_backward_bitwise_equal_to_add_at_scatter(self):
         """The slice-add input gradient adds each window's taps in the same
@@ -266,9 +266,9 @@ class TestNormalize:
         fx = fd_gradient(lambda m: loss(m, gamma, beta), x)
         fg = fd_gradient(lambda m: loss(x, m, beta), gamma)
         fb = fd_gradient(lambda m: loss(x, gamma, m), beta)
-        assert ops.max_relative_error(dx, fx) < 1e-5
-        assert ops.max_relative_error(dg, fg) < 1e-5
-        assert ops.max_relative_error(db, fb) < 1e-5
+        assert max_relative_error(dx, fx) < 1e-5
+        assert max_relative_error(dg, fg) < 1e-5
+        assert max_relative_error(db, fb) < 1e-5
 
     @pytest.mark.parametrize("mode,shape", [
         ("batch", (2, 1, 4, 4)), ("instance", (2, 1, 4, 4)), ("layer", (3, 5, 1)),
@@ -289,8 +289,8 @@ class TestNormalize:
         def loss(x, gamma, beta):
             return float(np.sum(ops.normalize_cached(x, mode, gamma, beta)[0] * w))
 
-        assert ops.max_relative_error(dg, fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
-        assert ops.max_relative_error(db, fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
+        assert max_relative_error(dg, fd_gradient(lambda m: loss(x, m, beta), gamma)) < 1e-5
+        assert max_relative_error(db, fd_gradient(lambda m: loss(x, gamma, m), beta)) < 1e-5
 
     def test_peak_is_two_arrays_of_the_input(self):
         """The output goes into the buffer of the squares the variance
@@ -425,7 +425,7 @@ class TestActivations:
         w = rng.normal(size=(4, 7))
         dx = ops.activation_backward(w, x, "gelu")
         fd = fd_gradient(lambda m: float(np.sum(ops.activation(m, "gelu") * w)), x)
-        assert ops.max_relative_error(dx, fd) < 1e-5
+        assert max_relative_error(dx, fd) < 1e-5
 
     def test_gelu_within_bound_of_pow_cube(self):
         """The cube is x * x * x; with the x**3 form every forward and
@@ -457,7 +457,7 @@ class TestActivations:
         w = rng.normal(size=(4, 7))
         dx = ops.activation_backward(w, x, "relu")
         fd = fd_gradient(lambda m: float(np.sum(ops.activation(m, "relu") * w)), x)
-        assert ops.max_relative_error(dx, fd) < 1e-5
+        assert max_relative_error(dx, fd) < 1e-5
 
 
 class TestSoftmax:
@@ -486,7 +486,7 @@ class TestSoftmax:
         y = ops.softmax(x)
         dx = ops.softmax_backward(w, y)
         fd = fd_gradient(lambda m: float(np.sum(ops.softmax(m) * w)), x)
-        assert ops.max_relative_error(dx, fd) < 1e-5
+        assert max_relative_error(dx, fd) < 1e-5
 
 
 class TestFdHelpers:
@@ -505,11 +505,11 @@ class TestFdHelpers:
 
     def test_max_relative_error_floor(self):
         # identical tiny values: floored denominator keeps the ratio finite
-        assert ops.max_relative_error(np.array([1e-9]), np.array([2e-9])) < 1e-2
-        assert ops.max_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
+        assert max_relative_error(np.array([1e-9]), np.array([2e-9])) < 1e-2
+        assert max_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_max_relative_error_symmetric(self, a, b):
         x, y = np.array([a]), np.array([b])
-        assert ops.max_relative_error(x, y) == ops.max_relative_error(y, x)
+        assert max_relative_error(x, y) == max_relative_error(y, x)

@@ -6,14 +6,19 @@ guard installs the tracer, uninstalls it, and checks that the package and
 its public names come back intact. The traced spans also read their
 arguments and results (``ops.conv2d``'s a 4-D output), so ``check``, whose
 probes run stacked forwards, must run under the tracer without a span
-error. ``embed`` encodes each chunk as (n, 1, 3, H, W), one batch per
+error, and its probes must run inside the traced ``encoder.encoder_forward``
+span, once per stem, so that their time is not ``cli.main`` self time.
+``embed`` encodes each chunk as (n, 1, 3, H, W), one batch per
 image; ``encoder.encoder_forward``'s span counts ``len(images)``, so its
 image count must still be the number of images embedded. ``embed`` reads
 each image with one ``formats.read_image_ppm`` call, so that span's call
 count, which the benchmark reports, must be the number of images read.
 These are guards, not regression tests: they also pass where ``embed``
 encoded (n, 3, H, W) chunks with per-sample statistics, and where
-``read_image_ppm`` read through ``Path.read_bytes``.
+``read_image_ppm`` read through ``Path.read_bytes``. The count of
+``check``'s ``encoder_forward`` calls is the exception: it fails where
+each tensor's probes ran their own forward, resumed at the first
+stage the tensor feeds.
 """
 
 import importlib.util
@@ -57,6 +62,7 @@ def test_check_runs_under_the_tracer(tmp_path):
         problems = recorder.uninstall(cfs_curate)
     assert problems == []
     assert totals["ops.conv2d"]["calls"] > 0
+    assert totals["encoder.encoder_forward"]["calls"] == 3
     assert {name: row["errors"] for name, row in totals.items() if row["errors"]} == {}
 
 
